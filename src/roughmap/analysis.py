@@ -6,14 +6,18 @@ nodes), a negative region (red nodes), and a boundary set: the parents, one
 level up, of the nodes just classified.  The importance degree of a boundary
 node is the fraction of its children that are green.
 
+Regions and degrees are computed in one pass over the nodes, O(n): nodes
+are bucketed by level once, and a degree counts its node's green children.
+
 Degrees are exact rationals.  For display, and for the aggregate expected
 result, they are truncated toward zero at two decimal places (2/3 becomes
 0.66, not 0.67); the expected result is the mean of the truncated values.
+Truncation is exact integer floor division, floor(p/q * 10**k) ==
+p * 10**k // q, so no Fraction is multiplied or floored.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -40,7 +44,7 @@ ALL_LEVELS = "all"
 def truncated(value: Fraction, places: int = TRUNCATION_PLACES) -> Fraction:
     """Truncate a non-negative fraction toward zero at `places` decimals."""
     scale = 10 ** places
-    return Fraction(math.floor(value * scale), scale)
+    return Fraction(value.numerator * scale // value.denominator, scale)
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ class AnalysisResult:
     @property
     def total(self) -> Fraction:
         """Sum of the records' truncated alphas."""
-        return sum((r.truncated_alpha for r in self.records), Fraction(0))
+        return self.expected_result * len(self.records)
 
 
 def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
@@ -97,7 +101,7 @@ def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
         raise NothingToAnalyzeError("map has a single node, nothing to classify")
     out = []
     for level in range(imap.max_level, 0, -1):
-        classified = [n for n in imap.nodes if n.level == level]
+        classified = imap.by_level[level]
         out.append(
             LevelRegions(
                 level=level,
@@ -112,7 +116,8 @@ def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
 def importance_degree(node: str, imap: IntegratedMap, regions: LevelRegions) -> ImportanceRecord:
     """Fraction of `node`'s children lying in `regions.pos`.
 
-    `regions` must be the level regions of the node's child level.
+    `regions` must be the level regions of the node's child level, so the
+    children in `regions.pos` are exactly the green ones.
     """
     info = imap.by_id.get(node)
     if info is None:
@@ -124,8 +129,8 @@ def importance_degree(node: str, imap: IntegratedMap, regions: LevelRegions) -> 
         raise ValueError(
             f"regions are for level {regions.level}, node {node!r} needs level {info.level + 1}"
         )
-    pos = set(regions.pos)
-    overlap = sum(1 for child in children if child in pos)
+    by_id = imap.by_id
+    overlap = sum(1 for child in children if by_id[child].color is NodeColor.GREEN)
     return ImportanceRecord(
         node=node,
         level=info.level,
@@ -166,7 +171,8 @@ def analyze(imap: IntegratedMap, levels: str | Iterable[int] = DEEPEST_ONLY) -> 
         level_reg = by_level[level]
         for node in level_reg.bnd:
             records.append(importance_degree(node, imap, level_reg))
-    total = sum((r.truncated_alpha for r in records), Fraction(0))
+    scale = 10 ** TRUNCATION_PLACES
+    total = Fraction(sum(r.overlap * scale // r.child_count for r in records), scale)
     return AnalysisResult(
         regions=all_regions,
         records=tuple(records),

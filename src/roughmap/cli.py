@@ -5,16 +5,18 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .analysis import ALL_LEVELS, DEEPEST_ONLY
 from .errors import InputError, ValidationError
 from .fileio import RunConfig, parse_concept_map_file, run_analyze
+from .grading import ASCENDING, DESCENDING, REPORT_FORMATS
 
 
 def _add_report_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "csv", "json"), default="text",
+    parser.add_argument("--format", choices=REPORT_FORMATS, default="text",
                         help="report format (default: text)")
-    parser.add_argument("--order", choices=("asc", "desc"), default="asc",
+    parser.add_argument("--order", choices=(ASCENDING, DESCENDING), default=ASCENDING,
                         help="remediation order: smallest or largest importance first")
-    parser.add_argument("--levels", choices=("deepest", "all"), default="deepest",
+    parser.add_argument("--levels", choices=(DEEPEST_ONLY, ALL_LEVELS), default=DEEPEST_ONLY,
                         help="process only the deepest boundary set or all of them")
 
 

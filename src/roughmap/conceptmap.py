@@ -99,11 +99,19 @@ class IntegratedMap:
         return {nid: tuple(kids) for nid, kids in children.items()}
 
     @cached_property
+    def by_level(self) -> dict[int, tuple[IntegratedNode, ...]]:
+        """Nodes bucketed by level in one pass, node order kept per level."""
+        buckets: dict[int, list[IntegratedNode]] = {}
+        for n in self.nodes:
+            buckets.setdefault(n.level, []).append(n)
+        return {level: tuple(ns) for level, ns in buckets.items()}
+
+    @cached_property
     def max_level(self) -> int:
-        return max(n.level for n in self.nodes)
+        return max(self.by_level)
 
     def nodes_at_level(self, level: int) -> tuple[IntegratedNode, ...]:
-        return tuple(n for n in self.nodes if n.level == level)
+        return self.by_level.get(level, ())
 
 
 def _as_node(raw) -> MapNode:

@@ -101,6 +101,8 @@ def parse_concept_map(text: str, source: str = "<string>") -> ConceptMap:
         raise MapFileParseError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise MapFileParseError(f"{source}: JSON nested too deeply") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise MapFileParseError(f"{source}: expected an object with a 'nodes' array")
     subject = doc.get("subject", "untitled")
@@ -123,7 +125,11 @@ def parse_concept_map(text: str, source: str = "<string>") -> ConceptMap:
 
 def parse_concept_map_file(path: str | Path) -> ConceptMap:
     path = Path(path)
-    return parse_concept_map(path.read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MapFileParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse_concept_map(text, source=str(path))
 
 
 def serialize_concept_map(cmap: ConceptMap) -> str:
@@ -153,6 +159,10 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
             register_no = (row["register_no"] or "").strip()
             if not register_no:
                 raise RosterSchemaError(f"{path}: line {lineno}: empty register_no")
+            if register_no in (".", "..") or "/" in register_no or "\\" in register_no:
+                raise RosterSchemaError(
+                    f"{path}: line {lineno}: register_no {register_no!r} is not a safe file name"
+                )
             if register_no in seen:
                 raise DuplicateRegisterError(f"{path}: duplicate register_no {register_no!r}")
             seen.add(register_no)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .analysis import AnalysisResult, ImportanceRecord, LevelRegions, truncated
+from .analysis import AnalysisResult, ImportanceRecord, LevelRegions
 from .errors import PercentRangeError, ReportFormatError
 
 __all__ = [
@@ -91,7 +90,7 @@ def grade_records(records: Sequence[ImportanceRecord]) -> tuple[GradedRecord, ..
     integer percentage."""
     out = []
     for rec in records:
-        percent = math.floor(rec.alpha * 100)
+        percent = rec.alpha.numerator * 100 // rec.alpha.denominator
         out.append(
             GradedRecord(
                 node=rec.node,
@@ -120,14 +119,13 @@ def remediation_sequence(
 def format_fraction(value: Fraction, places: int) -> str:
     """Fixed-point truncation toward zero with trailing zeros stripped."""
     scale = 10 ** places
-    scaled = math.floor(value * scale)
-    whole, frac = divmod(scaled, scale)
+    whole, frac = divmod(value.numerator * scale // value.denominator, scale)
     digits = f"{frac:0{places}d}".rstrip("0")
     return f"{whole}.{digits}" if digits else str(whole)
 
 
 def _alpha_display(value: Fraction) -> str:
-    return format_fraction(truncated(value), 2)
+    return format_fraction(value, 2)
 
 
 def render_report(

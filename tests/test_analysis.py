@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from roughmap.analysis import analyze, importance_degree, level_regions, truncated
+from roughmap.analysis import (
+    ImportanceRecord,
+    analyze,
+    importance_degree,
+    level_regions,
+    truncated,
+)
 from roughmap.conceptmap import integrate, validate_map
 from roughmap.errors import LeafNodeError, NothingToAnalyzeError
+from roughmap.grading import format_fraction, grade_records
 
 
 class TestTruncated:
@@ -18,6 +27,22 @@ class TestTruncated:
 
     def test_exact_hundredths_unchanged(self):
         assert truncated(Fraction(1, 4)) == Fraction(1, 4)
+
+    def test_integer_floor_matches_fraction_definition(self):
+        for q in range(1, 61):
+            for p in range(q + 1):
+                value = Fraction(p, q)
+                for k in (2, 3):
+                    scaled = math.floor(value * 10 ** k)
+                    assert truncated(value, k) == Fraction(scaled, 10 ** k)
+                    whole, frac = divmod(scaled, 10 ** k)
+                    digits = f"{frac:0{k}d}".rstrip("0")
+                    assert format_fraction(value, k) == (f"{whole}.{digits}" if digits
+                                                         else str(whole))
+                record = ImportanceRecord(node="n", level=0, child_count=q, overlap=p,
+                                          alpha=value)
+                (graded,) = grade_records([record])
+                assert graded.actual_percent == math.floor(value * 100)
 
 
 class TestLevelRegions:
@@ -141,3 +166,62 @@ class TestAnalyze:
             by_level[rec.level + 1] = by_level.get(rec.level + 1, 0) + rec.child_count
         for level, total in by_level.items():
             assert total == len(sample_integrated.nodes_at_level(level))
+
+
+def _recount(teacher_nodes, student_nodes):
+    """Green and total children per parent of the integrated tree, counted
+    straight from the two node lists."""
+    student_parent = dict(student_nodes)
+    teacher_ids = {nid for nid, _ in teacher_nodes}
+    children: dict[str, int] = {}
+    green: dict[str, int] = {}
+    merged = [(nid, parent, student_parent.get(nid, object()) == parent)
+              for nid, parent in teacher_nodes]
+    merged += [(nid, parent, True) for nid, parent in student_nodes if nid not in teacher_ids]
+    for _, parent, is_green in merged:
+        if parent is not None:
+            children[parent] = children.get(parent, 0) + 1
+            green[parent] = green.get(parent, 0) + is_green
+    return {p: (children[p], green[p]) for p in children}
+
+
+def _check_scaling(teacher_nodes, student_nodes, levels, parents):
+    imap = integrate(validate_map(teacher_nodes), validate_map(student_nodes))
+    started = time.perf_counter()
+    result = analyze(imap, levels)
+    elapsed = time.perf_counter() - started
+    expected = _recount(teacher_nodes, student_nodes)
+    got = {r.node: (r.child_count, r.overlap) for r in result.records}
+    assert len(got) == len(result.records) == len(parents)
+    assert got == {p: expected[p] for p in parents}
+    truncated_sum = sum(Fraction(math.floor(Fraction(g, c) * 100), 100) for c, g in got.values())
+    assert result.expected_result == truncated_sum / len(parents)
+    assert elapsed <= 2.0, f"analyze took {elapsed:.2f}s"
+
+
+class TestScaling:
+    def test_all_levels_on_a_long_chain(self):
+        n = 20_000
+        teacher = [("n0", None)] + [(f"n{i}", f"n{i - 1}") for i in range(1, n)]
+        # every third node misfiled under the root, every fifth node gains an
+        # extra child of its own
+        student = [(nid, "n0" if i % 3 == 0 and i else parent)
+                   for i, (nid, parent) in enumerate(teacher)]
+        student += [(f"x{i}", f"n{i}") for i in range(0, n, 5)]
+        parents = {f"n{i}" for i in range(n) if i < n - 1 or i % 5 == 0}
+        _check_scaling(teacher, student, "all", parents)
+
+    def test_deepest_level_on_a_wide_map(self):
+        units, concepts = 5_000, 10
+        teacher = [("root", None)] + [(f"u{u}", "root") for u in range(units)]
+        teacher += [(f"c{u}.{c}", f"u{u}") for u in range(units) for c in range(concepts)]
+        # concept c of unit u is kept, omitted or misfiled under the next unit
+        student = teacher[:units + 1]
+        for u in range(units):
+            for c in range(concepts):
+                kind = (u * 7 + c * 3) % 5
+                if kind < 3:
+                    student.append((f"c{u}.{c}", f"u{u}"))
+                elif kind == 3:
+                    student.append((f"c{u}.{c}", f"u{(u + 1) % units}"))
+        _check_scaling(teacher, student, "deepest", {f"u{u}" for u in range(units)})

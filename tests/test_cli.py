@@ -89,6 +89,30 @@ class TestValidateCommand:
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
 
+class TestHostileMapFiles:
+    """Malformed map files end in exit 2 with one diagnostic line."""
+
+    @staticmethod
+    def _exits_2_with_one_line(map_path, capsys):
+        for argv in (["validate", str(map_path)],
+                     ["analyze", "--teacher", TEACHER, "--student", str(map_path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert str(map_path) in captured.err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        self._exits_2_with_one_line(deep, capsys)
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe" + '{"nodes": []}'.encode("utf-16-le"))
+        self._exits_2_with_one_line(utf16, capsys)
+
+
 class TestBatchCommand:
     def test_two_identical_students(self, tmp_path):
         roster = tmp_path / "roster.csv"
@@ -135,6 +159,21 @@ class TestBatchCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "R9" in err and "nowhere.json" in err
+
+    @pytest.mark.parametrize("register_no", ["../escaped", "a/b", "a\\b", ".", ".."])
+    def test_unsafe_register_no_rejected(self, tmp_path, capsys, register_no):
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("R1", "a", "d", "s", "sub", "student_map.json"),
+                              (register_no, "b", "d", "s", "sub", "student_map.json")])
+        out_dir = tmp_path / "out"
+        before = set(tmp_path.rglob("*"))
+        code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                     "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"register_no {register_no!r}" in err and err.count("\n") == 1
+        written = set(tmp_path.rglob("*")) - before
+        assert all(out_dir in (p, *p.parents) for p in written)
 
     def test_json_format_files(self, tmp_path):
         roster = tmp_path / "roster.csv"
