@@ -13,6 +13,7 @@ Rosters are CSV with header
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -146,8 +147,12 @@ def serialize_concept_map(cmap: ConceptMap) -> str:
 def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
     """Read a roster CSV; rows keep file order, register numbers must be unique."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RosterSchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
         if reader.fieldnames is None:
             raise RosterSchemaError(f"{path}: empty roster file")
         missing = [c for c in ROSTER_COLUMNS if c not in reader.fieldnames]
@@ -159,7 +164,8 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
             register_no = (row["register_no"] or "").strip()
             if not register_no:
                 raise RosterSchemaError(f"{path}: line {lineno}: empty register_no")
-            if register_no in (".", "..") or "/" in register_no or "\\" in register_no:
+            if (register_no in (".", "..") or "/" in register_no or "\\" in register_no
+                    or min(register_no) < " "):
                 raise RosterSchemaError(
                     f"{path}: line {lineno}: register_no {register_no!r} is not a safe file name"
                 )
@@ -176,6 +182,8 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
                     map_path=row["map_path"],
                 )
             )
+    except csv.Error as exc:
+        raise RosterSchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
     return tuple(records)
 
 

@@ -4,6 +4,12 @@ Grades per boundary node: A for 75% and above, B for 50-74%, C below 50%.
 The remediation sequence lists every node whose importance degree is below 1
 (a degree of exactly 1 means the whole branch is already known), ordered by
 degree in either direction with ties broken by node id.
+
+The JSON report has a fixed layout: 2-space indent, keys in the fixed order
+regions, records, total, expected_result, expected_result_display, graded,
+plan (order, steps), and non-ASCII characters escaped as ``\\uXXXX``.  Its
+bytes are those of ``json.dumps(doc, indent=2) + "\\n"`` for the same
+document, though it is written from per-object templates.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from json.encoder import encode_basestring_ascii as _encode
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from .analysis import AnalysisResult, ImportanceRecord, LevelRegions
 from .errors import PercentRangeError, ReportFormatError
@@ -109,10 +117,10 @@ def remediation_sequence(
     if order not in (ASCENDING, DESCENDING):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
     pending = [r for r in records if r.alpha < 1]
-    if order == ASCENDING:
-        pending.sort(key=lambda r: (r.alpha, r.node))
-    else:
-        pending.sort(key=lambda r: (-r.alpha, r.node))
+    # Two stable passes give the (alpha, node) / (-alpha, node) order with no
+    # tuple keys or negated Fractions; reverse=True keeps ties in node order.
+    pending.sort(key=attrgetter("node"))
+    pending.sort(key=attrgetter("alpha"), reverse=order == DESCENDING)
     return RemediationPlan(order=order, steps=tuple(PlanStep(r.node, r.alpha) for r in pending))
 
 
@@ -124,10 +132,6 @@ def format_fraction(value: Fraction, places: int) -> str:
     return f"{whole}.{digits}" if digits else str(whole)
 
 
-def _alpha_display(value: Fraction) -> str:
-    return format_fraction(value, 2)
-
-
 def render_report(
     result: AnalysisResult,
     graded: Sequence[GradedRecord],
@@ -135,12 +139,22 @@ def render_report(
     report_format: str = "text",
 ) -> str:
     """Serialize one analysis deterministically in the requested format."""
+    # A report holds few distinct degrees: format each once, keyed by a tuple
+    # because hashing a Fraction is far slower.
+    strings: dict[tuple[int, int], tuple[str, str]] = {}
+
+    def degree(alpha: Fraction) -> tuple[str, str]:  # (str(alpha), display)
+        key = (alpha.numerator, alpha.denominator)
+        if key not in strings:
+            strings[key] = (str(alpha), format_fraction(alpha, 2))
+        return strings[key]
+
     if report_format == "text":
-        return _render_text(result, graded, plan)
+        return _render_text(result, graded, plan, degree)
     if report_format == "csv":
-        return _render_csv(result, graded, plan)
+        return _render_csv(result, graded, plan, degree)
     if report_format == "json":
-        return _render_json(result, graded, plan)
+        return _render_json(result, graded, plan, degree)
     raise ReportFormatError(f"unknown report format: {report_format!r}")
 
 
@@ -155,7 +169,7 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
     return lines
 
 
-def _render_text(result, graded, plan) -> str:
+def _render_text(result, graded, plan, degree) -> str:
     lines: list[str] = ["Level regions", "-------------"]
     for reg in result.regions:
         lines.append(
@@ -171,7 +185,7 @@ def _render_text(result, graded, plan) -> str:
             str(rec.level + 1),
             str(rec.child_count),
             str(rec.overlap),
-            f"{rec.overlap}/{rec.child_count}={_alpha_display(rec.alpha)}",
+            f"{rec.overlap}/{rec.child_count}={degree(rec.alpha)[1]}",
         ]
         for rec in result.records
     ]
@@ -192,11 +206,11 @@ def _render_text(result, graded, plan) -> str:
     lines += ["", f"Remediation sequence ({direction} importance first)",
               "-" * len(f"Remediation sequence ({direction} importance first)")]
     for i, step in enumerate(plan.steps, start=1):
-        lines.append(f"{i}. {step.node}  {_alpha_display(step.alpha)}")
+        lines.append(f"{i}. {step.node}  {degree(step.alpha)[1]}")
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(result, graded, plan) -> str:
+def _render_csv(result, graded, plan, degree) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -208,7 +222,7 @@ def _render_csv(result, graded, plan) -> str:
         g = graded_by_node[rec.node]
         writer.writerow(
             [rec.node, rec.level + 1, rec.child_count, rec.overlap,
-             _alpha_display(rec.alpha), g.expected_percent, g.actual_percent, g.grade]
+             degree(rec.alpha)[1], g.expected_percent, g.actual_percent, g.grade]
         )
     if result.records:
         writer.writerow(["total", format_fraction(result.total, 2)])
@@ -216,49 +230,88 @@ def _render_csv(result, graded, plan) -> str:
                          format_fraction(result.expected_result, EXPECTED_RESULT_PLACES)])
         writer.writerow(["remediation_order", plan.order])
         for step in plan.steps:
-            writer.writerow(["remediation", step.node, _alpha_display(step.alpha)])
+            writer.writerow(["remediation", step.node, degree(step.alpha)[1]])
     return buf.getvalue()
 
 
-def _render_json(result, graded, plan) -> str:
-    doc = {
-        "regions": [
-            {"level": r.level, "pos": list(r.pos), "neg": list(r.neg), "bnd": list(r.bnd)}
-            for r in result.regions
-        ],
-        "records": [
-            {
-                "node": rec.node,
-                "level": rec.level,
-                "child_count": rec.child_count,
-                "overlap": rec.overlap,
-                "alpha": str(rec.alpha),
-                "alpha_display": _alpha_display(rec.alpha),
-            }
-            for rec in result.records
-        ],
-        "total": str(result.total),
-        "expected_result": str(result.expected_result),
-        "expected_result_display": format_fraction(result.expected_result,
-                                                   EXPECTED_RESULT_PLACES),
-        "graded": [
-            {
-                "node": g.node,
-                "expected_percent": g.expected_percent,
-                "actual_percent": g.actual_percent,
-                "grade": g.grade,
-            }
-            for g in graded
-        ],
-        "plan": {
-            "order": plan.order,
-            "steps": [
-                {"node": s.node, "alpha": str(s.alpha), "alpha_display": _alpha_display(s.alpha)}
-                for s in plan.steps
-            ],
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+# One template per object kind.  Strings go through the encoder json.dumps
+# itself uses, ints through str; degrees are digits, "/" and "." only.
+_JSON_REPORT = """{
+  "regions": %s,
+  "records": %s,
+  "total": "%s",
+  "expected_result": "%s",
+  "expected_result_display": "%s",
+  "graded": %s,
+  "plan": {
+    "order": %s,
+    "steps": %s
+  }
+}
+"""
+_JSON_REGION = """{
+      "level": %s,
+      "pos": %s,
+      "neg": %s,
+      "bnd": %s
+    }"""
+_JSON_RECORD = """{
+      "node": %s,
+      "level": %s,
+      "child_count": %s,
+      "overlap": %s,
+      "alpha": "%s",
+      "alpha_display": "%s"
+    }"""
+_JSON_GRADED = """{
+      "node": %s,
+      "expected_percent": %s,
+      "actual_percent": %s,
+      "grade": %s
+    }"""
+_JSON_STEP = """{
+        "node": %s,
+        "alpha": "%s",
+        "alpha_display": "%s"
+      }"""
+
+
+def _json_array(items: Iterable[str], indent: str) -> str:
+    """Already-encoded `items`, none of them empty, as an ``indent=2`` array
+    whose items sit at `indent`."""
+    joined = f",\n{indent}".join(items)
+    return f"[\n{indent}{joined}\n{indent[2:]}]" if joined else "[]"
+
+
+def _json_ids(ids: Sequence[str]) -> str:
+    return _json_array(map(_encode, ids), " " * 8)
+
+
+def _render_json(result, graded, plan, degree) -> str:
+    regions = [
+        _JSON_REGION % (r.level, _json_ids(r.pos), _json_ids(r.neg), _json_ids(r.bnd))
+        for r in result.regions
+    ]
+    records = [
+        _JSON_RECORD % (_encode(rec.node), rec.level, rec.child_count, rec.overlap,
+                        *degree(rec.alpha))
+        for rec in result.records
+    ]
+    graded_rows = [
+        _JSON_GRADED % (_encode(g.node), g.expected_percent, g.actual_percent, _encode(g.grade))
+        for g in graded
+    ]
+    steps = [_JSON_STEP % (_encode(s.node), *degree(s.alpha)) for s in plan.steps]
+    return _JSON_REPORT % (
+        _json_array(regions, " " * 4),
+        _json_array(records, " " * 4),
+        result.total,
+        result.expected_result,
+        format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
+        _json_array(graded_rows, " " * 4),
+        _encode(plan.order),
+        _json_array(steps, " " * 6),
+    )
 
 
 def parse_report(text: str) -> tuple[AnalysisResult, tuple[GradedRecord, ...], RemediationPlan]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import json
+import sys
 
 import pytest
 
@@ -13,9 +15,10 @@ STUDENT = str(DATA_DIR / "student_map.json")
 
 
 def write_roster(path, rows):
-    lines = ["register_no,name,department,semester,subject,map_path"]
-    lines += [",".join(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["register_no", "name", "department", "semester", "subject", "map_path"])
+        writer.writerows(rows)
 
 
 class TestAnalyzeCommand:
@@ -160,7 +163,12 @@ class TestBatchCommand:
         err = capsys.readouterr().err
         assert "R9" in err and "nowhere.json" in err
 
-    @pytest.mark.parametrize("register_no", ["../escaped", "a/b", "a\\b", ".", ".."])
+    @pytest.mark.parametrize("register_no", [
+        "../escaped", "a/b", "a\\b", ".", "..", "CSE\n01",
+        pytest.param("CSE\x0001", marks=pytest.mark.skipif(
+            sys.version_info < (3, 11),
+            reason="before 3.11 the csv module rejects NUL itself (see test_unreadable_roster)")),
+    ])
     def test_unsafe_register_no_rejected(self, tmp_path, capsys, register_no):
         roster = tmp_path / "roster.csv"
         write_roster(roster, [("R1", "a", "d", "s", "sub", "student_map.json"),
@@ -174,6 +182,24 @@ class TestBatchCommand:
         assert f"register_no {register_no!r}" in err and err.count("\n") == 1
         written = set(tmp_path.rglob("*")) - before
         assert all(out_dir in (p, *p.parents) for p in written)
+
+    @pytest.mark.parametrize("content,detail", [
+        (b"register_no,name,department,semester,subject,map_path\nR\xff1,a,d,s,sub,m.json\n",
+         "not UTF-8 text: invalid start byte at byte 55"),
+        (b"register_no,name,department,semester,subject,map_path\nR1,\""
+         + b"x" * (csv.field_size_limit() + 1) + b"\"\n",
+         f"line 2: field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["not-utf8", "oversize-field"])
+    def test_unreadable_roster(self, tmp_path, capsys, content, detail):
+        roster = tmp_path / "roster.csv"
+        roster.write_bytes(content)
+        out_dir = tmp_path / "out"
+        code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                     "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {roster}: {detail}\n"
+        assert not out_dir.exists()
 
     def test_json_format_files(self, tmp_path):
         roster = tmp_path / "roster.csv"

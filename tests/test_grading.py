@@ -4,12 +4,18 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from roughmap.analysis import AnalysisResult, ImportanceRecord, analyze
+import strategies
+from roughmap.analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, ImportanceRecord, analyze
+from roughmap.conceptmap import integrate, validate_map
 from roughmap.errors import PercentRangeError, ReportFormatError
 from roughmap.grading import (
+    EXPECTED_RESULT_PLACES,
     GRADE_BANDS,
+    PlanStep,
     RemediationPlan,
     assign_grade,
     format_fraction,
@@ -25,6 +31,53 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 def _rec(node: str, overlap: int, child_count: int, level: int = 1) -> ImportanceRecord:
     return ImportanceRecord(node=node, level=level, child_count=child_count,
                             overlap=overlap, alpha=Fraction(overlap, child_count))
+
+
+def reference_doc(result, graded, plan) -> dict:
+    """The JSON report as a document: ``json.dumps(reference_doc(...),
+    indent=2) + "\\n"`` is the reference for the fixed-shape JSON writer."""
+    return {
+        "regions": [
+            {"level": r.level, "pos": list(r.pos), "neg": list(r.neg), "bnd": list(r.bnd)}
+            for r in result.regions
+        ],
+        "records": [
+            {
+                "node": rec.node,
+                "level": rec.level,
+                "child_count": rec.child_count,
+                "overlap": rec.overlap,
+                "alpha": str(rec.alpha),
+                "alpha_display": format_fraction(rec.alpha, 2),
+            }
+            for rec in result.records
+        ],
+        "total": str(result.total),
+        "expected_result": str(result.expected_result),
+        "expected_result_display": format_fraction(result.expected_result,
+                                                   EXPECTED_RESULT_PLACES),
+        "graded": [
+            {
+                "node": g.node,
+                "expected_percent": g.expected_percent,
+                "actual_percent": g.actual_percent,
+                "grade": g.grade,
+            }
+            for g in graded
+        ],
+        "plan": {
+            "order": plan.order,
+            "steps": [
+                {"node": s.node, "alpha": str(s.alpha),
+                 "alpha_display": format_fraction(s.alpha, 2)}
+                for s in plan.steps
+            ],
+        },
+    }
+
+
+def reference_json(result, graded, plan) -> str:
+    return json.dumps(reference_doc(result, graded, plan), indent=2) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +156,21 @@ class TestRemediationSequence:
         with pytest.raises(ValueError):
             remediation_sequence([], "upwards")
 
+    @given(st.dictionaries(
+        st.text(max_size=3),
+        st.integers(1, 4).flatmap(lambda q: st.tuples(st.integers(0, q), st.just(q))),
+        max_size=40,
+    ))
+    def test_order_equals_tuple_key_sort(self, degrees):
+        """Few distinct degrees, some spelled two ways (1/2 and 2/4), so most
+        records tie on alpha and fall back to the node id."""
+        records = [_rec(node, p, q) for node, (p, q) in degrees.items()]
+        pending = [r for r in records if r.alpha < 1]
+        for order, key in (("asc", lambda r: (r.alpha, r.node)),
+                           ("desc", lambda r: (-r.alpha, r.node))):
+            expected = tuple(PlanStep(r.node, r.alpha) for r in sorted(pending, key=key))
+            assert remediation_sequence(records, order).steps == expected
+
 
 class TestFormatFraction:
     @pytest.mark.parametrize(
@@ -153,5 +221,34 @@ class TestRenderReport:
             "node,level,child_count,overlap,alpha,expected_percent,actual_percent,grade"]
         text_doc = render_report(empty, (), plan, "text")
         assert "BND set" in text_doc
-        json_doc = json.loads(render_report(empty, (), plan, "json"))
+        json_text = render_report(empty, (), plan, "json")
+        assert json_text == reference_json(empty, (), plan)
+        json_doc = json.loads(json_text)
         assert json_doc["records"] == [] and json_doc["graded"] == []
+
+
+# Node ids are the report's only free-form strings: draw them with the
+# characters JSON must escape (quote, backslash, controls), non-ASCII and
+# astral characters, which json.dumps writes as \uXXXX surrogate pairs.
+_NODE_IDS = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\n\té€\u2028\U0001f600'), st.characters(codec="utf-8")),
+    min_size=1, max_size=6,
+)
+
+
+@given(strategies.teacher_student_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_json_writer_matches_json_dumps(pair, data):
+    teacher, student = pair
+    ids = data.draw(st.lists(_NODE_IDS, min_size=len(teacher.nodes),
+                             max_size=len(teacher.nodes), unique=True))
+    rename = dict(zip((n.id for n in teacher.nodes), ids))
+    teacher, student = (
+        validate_map([(rename[n.id], rename.get(n.parent)) for n in m.nodes], subject=m.subject)
+        for m in (teacher, student)
+    )
+    result = analyze(integrate(teacher, student), data.draw(st.sampled_from([DEEPEST_ONLY,
+                                                                             ALL_LEVELS])))
+    graded = grade_records(result.records)
+    plan = remediation_sequence(result.records, data.draw(st.sampled_from(["asc", "desc"])))
+    assert render_report(result, graded, plan, "json") == reference_json(result, graded, plan)
