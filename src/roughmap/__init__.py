@@ -1,61 +1,8 @@
 """Rough-set gap analysis and grading for hierarchical concept maps."""
 
-from .analysis import (
-    AnalysisResult,
-    ImportanceRecord,
-    LevelRegions,
-    analyze,
-    importance_degree,
-    level_regions,
-    truncated,
-)
-from .conceptmap import (
-    ConceptMap,
-    IntegratedMap,
-    IntegratedNode,
-    MapNode,
-    NodeColor,
-    compute_levels,
-    integrate,
-    validate_map,
-)
-from .fileio import (
-    RosterRecord,
-    RunConfig,
-    load_decision_table_csv,
-    parse_concept_map,
-    parse_concept_map_file,
-    parse_roster,
-    run_analyze,
-    serialize_concept_map,
-    student_report,
-)
-from .grading import (
-    GRADE_BANDS,
-    GradeBand,
-    GradedRecord,
-    PlanStep,
-    RemediationPlan,
-    assign_grade,
-    grade_records,
-    parse_report,
-    remediation_sequence,
-    render_report,
-)
-from .roughset import (
-    ApproximationSpace,
-    DecisionTable,
-    Partition,
-    Regions,
-    RoughSet,
-    Universe,
-    boundary,
-    indiscernibility,
-    is_exact,
-    lower_approximation,
-    regions,
-    rough_set,
-    upper_approximation,
-)
+from .analysis import analyze
+from .conceptmap import integrate, validate_map
+from .grading import grade_records, parse_report, remediation_sequence, render_report
+from .roughset import ApproximationSpace, lower_approximation, regions, rough_membership
 
 __version__ = "0.1.0"

@@ -4,10 +4,15 @@ importance degrees.
 Each level of the integrated tree splits into a positive region (green
 nodes), a negative region (red nodes), and a boundary set: the parents, one
 level up, of the nodes just classified.  The importance degree of a boundary
-node is the fraction of its children that are green.
+node is the rough membership of its children in the green set: take the
+analysed levels' nodes as the universe, partition them by parent, and the
+degree of a parent is |children & GREEN| / |children|
+(:func:`roughmap.roughset.rough_membership`).  A parent of degree 1 is in
+the lower approximation of the green set, one of degree 0 outside its upper
+approximation.
 
-Regions and degrees are computed in one pass over the nodes, O(n): nodes
-are bucketed by level once, and a degree counts its node's green children.
+Nodes are bucketed by level once, and one approximation space over the
+selected levels yields every degree, so analysis is O(n).
 
 Degrees are exact rationals.  For display, and for the aggregate expected
 result, they are truncated toward zero at two decimal places (2/3 becomes
@@ -20,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .conceptmap import IntegratedMap, NodeColor
-from .errors import LeafNodeError, NothingToAnalyzeError
+from .errors import NothingToAnalyzeError
+from .roughset import ApproximationSpace, rough_membership
 
 __all__ = [
     "LevelRegions",
@@ -31,7 +38,6 @@ __all__ = [
     "AnalysisResult",
     "truncated",
     "level_regions",
-    "importance_degree",
     "analyze",
 ]
 
@@ -99,45 +105,20 @@ def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
     """
     if imap.max_level < 1:
         raise NothingToAnalyzeError("map has a single node, nothing to classify")
+    # Enum member lookups cost more than the loops; read them once.
+    green, red = NodeColor.GREEN, NodeColor.RED
     out = []
     for level in range(imap.max_level, 0, -1):
         classified = imap.by_level[level]
         out.append(
             LevelRegions(
                 level=level,
-                pos=tuple(n.id for n in classified if n.color is NodeColor.GREEN),
-                neg=tuple(n.id for n in classified if n.color is NodeColor.RED),
-                bnd=tuple(dict.fromkeys(n.parent for n in classified)),
+                pos=tuple([n.id for n in classified if n.color is green]),
+                neg=tuple([n.id for n in classified if n.color is red]),
+                bnd=tuple(dict.fromkeys([n.parent for n in classified])),
             )
         )
     return tuple(out)
-
-
-def importance_degree(node: str, imap: IntegratedMap, regions: LevelRegions) -> ImportanceRecord:
-    """Fraction of `node`'s children lying in `regions.pos`.
-
-    `regions` must be the level regions of the node's child level, so the
-    children in `regions.pos` are exactly the green ones.
-    """
-    info = imap.by_id.get(node)
-    if info is None:
-        raise ValueError(f"unknown node: {node!r}")
-    children = imap.children_of[node]
-    if not children:
-        raise LeafNodeError(f"node {node!r} has no children")
-    if regions.level != info.level + 1:
-        raise ValueError(
-            f"regions are for level {regions.level}, node {node!r} needs level {info.level + 1}"
-        )
-    by_id = imap.by_id
-    overlap = sum(1 for child in children if by_id[child].color is NodeColor.GREEN)
-    return ImportanceRecord(
-        node=node,
-        level=info.level,
-        child_count=len(children),
-        overlap=overlap,
-        alpha=Fraction(overlap, len(children)),
-    )
 
 
 def analyze(imap: IntegratedMap, levels: str | Iterable[int] = DEEPEST_ONLY) -> AnalysisResult:
@@ -166,11 +147,15 @@ def analyze(imap: IntegratedMap, levels: str | Iterable[int] = DEEPEST_ONLY) -> 
             raise ValueError(f"no such level(s): {unknown}")
         if not selected:
             raise ValueError("no levels selected")
-    records: list[ImportanceRecord] = []
-    for level in selected:
-        level_reg = by_level[level]
-        for node in level_reg.bnd:
-            records.append(importance_degree(node, imap, level_reg))
+    chosen = [by_level[level] for level in selected]
+    parents = [(node, reg.level - 1) for reg in chosen for node in reg.bnd]
+    space = ApproximationSpace.from_blocks(imap.children_of[node] for node, _ in parents)
+    membership = rough_membership(space, chain.from_iterable(reg.pos for reg in chosen))
+    records = [
+        ImportanceRecord(node=node, level=level, child_count=size, overlap=inside,
+                         alpha=Fraction(inside, size))
+        for (node, level), (inside, size) in zip(parents, membership)
+    ]
     scale = 10 ** TRUNCATION_PLACES
     total = Fraction(sum(r.overlap * scale // r.child_count for r in records), scale)
     return AnalysisResult(

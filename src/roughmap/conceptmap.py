@@ -110,9 +110,6 @@ class IntegratedMap:
     def max_level(self) -> int:
         return max(self.by_level)
 
-    def nodes_at_level(self, level: int) -> tuple[IntegratedNode, ...]:
-        return self.by_level.get(level, ())
-
 
 def _as_node(raw) -> MapNode:
     if isinstance(raw, MapNode):

@@ -64,10 +64,6 @@ class NothingToAnalyzeError(ValidationError):
     """Map consists of a single node, so no level can be classified."""
 
 
-class LeafNodeError(ValidationError):
-    """Importance degree requested for a node without children."""
-
-
 # grading layer
 
 class PercentRangeError(ValidationError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .analysis import ALL_LEVELS, DEEPEST_ONLY, analyze
+from .analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, analyze
 from .conceptmap import ConceptMap, MapNode, integrate, validate_map
 from .errors import (
     DuplicateRegisterError,
@@ -34,12 +34,13 @@ from .grading import (
     DESCENDING,
     EXPECTED_RESULT_PLACES,
     REPORT_FORMATS,
+    GradedRecord,
     format_fraction,
     grade_records,
     remediation_sequence,
     render_report,
 )
-from .roughset import DecisionTable, Universe
+from .roughset import DecisionTable
 
 __all__ = [
     "RosterRecord",
@@ -51,7 +52,6 @@ __all__ = [
     "serialize_concept_map",
     "parse_roster",
     "load_decision_table_csv",
-    "student_report",
     "run_analyze",
 ]
 
@@ -161,6 +161,9 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
         records: list[RosterRecord] = []
         seen: set[str] = set()
         for lineno, row in enumerate(reader, start=2):
+            short = [c for c in ROSTER_COLUMNS if row[c] is None]
+            if short:
+                raise RosterSchemaError(f"{path}: line {lineno}: missing cell(s): {', '.join(short)}")
             register_no = (row["register_no"] or "").strip()
             if not register_no:
                 raise RosterSchemaError(f"{path}: line {lineno}: empty register_no")
@@ -200,44 +203,24 @@ def load_decision_table_csv(
         rows = list(csv.reader(fh))
     if not rows or len(rows[0]) < 2:
         raise InputError(f"{path}: need a header with an object column and at least one attribute")
-    attributes = tuple(rows[0][1:])
-    objects: list[str] = []
-    values: dict[tuple[str, str], str] = {}
+    values: dict[str, list[str]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(rows[0]):
             raise InputError(f"{path}: line {lineno}: expected {len(rows[0])} cells, got {len(row)}")
-        obj = row[0]
-        if obj in objects:
-            raise InputError(f"{path}: duplicate object id {obj!r}")
-        objects.append(obj)
-        for attr, val in zip(attributes, row[1:]):
-            values[(obj, attr)] = val
-    if condition is None:
-        condition = attributes[:-1]
-    if decision is None:
-        decision = attributes[-1:]
-    return DecisionTable(
-        objects=Universe(tuple(objects)),
-        attributes=attributes,
-        values=values,
-        condition=frozenset(condition),
-        decision=frozenset(decision),
-    )
+        if row[0] in values:
+            raise InputError(f"{path}: duplicate object id {row[0]!r}")
+        values[row[0]] = row[1:]
+    return DecisionTable.from_rows(values, rows[0][1:], condition, decision)
 
 
-def student_report(
-    teacher: ConceptMap,
-    student: ConceptMap,
-    report_format: str = "text",
-    order: str = ASCENDING,
-    levels: str = DEEPEST_ONLY,
-) -> str:
+def _student_report(
+    teacher: ConceptMap, student: ConceptMap, config: RunConfig
+) -> tuple[AnalysisResult, tuple[GradedRecord, ...], str]:
     """Full pipeline for one student: integrate, analyze, grade, plan, render."""
-    imap = integrate(teacher, student)
-    result = analyze(imap, levels=levels)
+    result = analyze(integrate(teacher, student), levels=config.levels)
     graded = grade_records(result.records)
-    plan = remediation_sequence(result.records, order=order)
-    return render_report(result, graded, plan, report_format)
+    plan = remediation_sequence(result.records, order=config.order)
+    return result, graded, render_report(result, graded, plan, config.report_format)
 
 
 def run_analyze(config: RunConfig, stderr: TextIO | None = None) -> int:
@@ -263,13 +246,7 @@ def _run(config: RunConfig) -> None:
     teacher = parse_concept_map_file(config.teacher_map_path)
     if config.student_map_path is not None:
         student = parse_concept_map_file(config.student_map_path)
-        report = student_report(
-            teacher,
-            student,
-            report_format=config.report_format,
-            order=config.order,
-            levels=config.levels,
-        )
+        _, _, report = _student_report(teacher, student, config)
         if config.out_path is not None:
             Path(config.out_path).write_text(report, encoding="utf-8")
         else:
@@ -287,13 +264,9 @@ def _run(config: RunConfig) -> None:
             raise InputError(f"student map for {rec.register_no} not found: {map_path}")
         try:
             student = parse_concept_map_file(map_path)
-            imap = integrate(teacher, student)
-            result = analyze(imap, levels=config.levels)
+            result, graded, report = _student_report(teacher, student, config)
         except ValidationError as exc:
             raise ValidationError(f"student {rec.register_no} ({map_path}): {exc}") from exc
-        graded = grade_records(result.records)
-        plan = remediation_sequence(result.records, order=config.order)
-        report = render_report(result, graded, plan, config.report_format)
         out_file = out_dir / f"{rec.register_no}.{config.report_format}"
         out_file.write_text(report, encoding="utf-8")
         summary_rows.append(

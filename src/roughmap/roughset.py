@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSubsetError, UnknownAttributeError
@@ -26,6 +27,7 @@ __all__ = [
     "upper_approximation",
     "boundary",
     "regions",
+    "rough_membership",
     "is_exact",
     "rough_set",
     "indiscernibility",
@@ -46,6 +48,8 @@ class Universe:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "elements", tuple(self.elements))
+        if len(self.element_set) == len(self.elements):
+            return
         seen: set[str] = set()
         for e in self.elements:
             if e in seen:
@@ -73,7 +77,9 @@ class Partition:
     blocks: tuple[ElementSet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
+        if all(self.blocks) and len(self.element_set) == sum(map(len, self.blocks)):
+            return
         seen: set[str] = set()
         for block in self.blocks:
             if not block:
@@ -85,7 +91,7 @@ class Partition:
 
     @cached_property
     def element_set(self) -> frozenset[str]:
-        return frozenset(e for block in self.blocks for e in block)
+        return frozenset(chain.from_iterable(self.blocks))
 
     def __iter__(self):
         return iter(self.blocks)
@@ -102,6 +108,8 @@ class ApproximationSpace:
     partition: Partition
 
     def __post_init__(self) -> None:
+        if self.universe.element_set == self.partition.element_set:
+            return
         missing = self.universe.element_set - self.partition.element_set
         stray = self.partition.element_set - self.universe.element_set
         if missing:
@@ -112,13 +120,8 @@ class ApproximationSpace:
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[str]]) -> "ApproximationSpace":
         """Build a space whose universe is the blocks' elements in block order."""
-        partition = Partition(tuple(tuple(b) for b in blocks))
-        elements = tuple(e for block in partition.blocks for e in block)
-        return cls(Universe(elements), partition)
-
-    @cached_property
-    def _block_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(b) for b in self.partition.blocks)
+        partition = Partition(tuple(blocks))
+        return cls(Universe(tuple(chain.from_iterable(partition.blocks))), partition)
 
 
 @dataclass(frozen=True)
@@ -213,59 +216,53 @@ def _checked_subset(space: ApproximationSpace, a: Iterable[str]) -> frozenset[st
     return subset
 
 
-def _in_universe_order(space: ApproximationSpace, members: Iterable[str]) -> ElementSet:
-    chosen = set(members)
+def _in_universe_order(space: ApproximationSpace, chosen: set[str]) -> ElementSet:
     return tuple(e for e in space.universe if e in chosen)
+
+
+def rough_membership(space: ApproximationSpace, a: Iterable[str]) -> tuple[tuple[int, int], ...]:
+    """``(|B & a|, |B|)`` for every block B, in block order.
+
+    Their ratio is Pawlak's rough membership of each element of B in `a`:
+    1 on the lower approximation, 0 outside the upper approximation.
+    """
+    subset = _checked_subset(space, a)
+    blocks = space.partition.blocks
+    return tuple(zip(map(len, map(subset.intersection, blocks)), map(len, blocks)))
+
+
+def regions(space: ApproximationSpace, a: Iterable[str]) -> Regions:
+    """Positive, negative, and boundary regions; together they partition U.
+
+    A block wholly inside `a` is positive, a block disjoint from it negative,
+    and any other block boundary.
+    """
+    pos: set[str] = set()
+    neg: set[str] = set()
+    bnd: set[str] = set()
+    for block, (inside, size) in zip(space.partition.blocks, rough_membership(space, a)):
+        (pos if inside == size else neg if inside == 0 else bnd).update(block)
+    return Regions(*(_in_universe_order(space, region) for region in (pos, neg, bnd)))
 
 
 def lower_approximation(space: ApproximationSpace, a: Iterable[str]) -> ElementSet:
     """Union of all blocks wholly contained in `a` (the certainly-in region)."""
-    subset = _checked_subset(space, a)
-    members: set[str] = set()
-    for block in space._block_sets:
-        if block <= subset:
-            members |= block
-    return _in_universe_order(space, members)
+    return regions(space, a).pos
 
 
 def upper_approximation(space: ApproximationSpace, a: Iterable[str]) -> ElementSet:
     """Union of all blocks intersecting `a` (the possibly-in region)."""
-    subset = _checked_subset(space, a)
-    members: set[str] = set()
-    for block in space._block_sets:
-        if block & subset:
-            members |= block
-    return _in_universe_order(space, members)
+    return _in_universe_order(space, space.universe.element_set.difference(regions(space, a).neg))
 
 
 def boundary(space: ApproximationSpace, a: Iterable[str]) -> ElementSet:
     """Upper approximation minus lower approximation."""
-    subset = _checked_subset(space, a)
-    lower: set[str] = set()
-    upper: set[str] = set()
-    for block in space._block_sets:
-        if block & subset:
-            upper |= block
-            if block <= subset:
-                lower |= block
-    return _in_universe_order(space, upper - lower)
-
-
-def regions(space: ApproximationSpace, a: Iterable[str]) -> Regions:
-    """Positive, negative, and boundary regions; together they partition U."""
-    subset = _checked_subset(space, a)
-    lower = set(lower_approximation(space, subset))
-    upper = set(upper_approximation(space, subset))
-    return Regions(
-        pos=_in_universe_order(space, lower),
-        neg=_in_universe_order(space, space.universe.element_set - upper),
-        bnd=_in_universe_order(space, upper - lower),
-    )
+    return regions(space, a).bnd
 
 
 def is_exact(space: ApproximationSpace, a: Iterable[str]) -> bool:
     """True iff the boundary of `a` is empty (lower equals upper)."""
-    return not boundary(space, a)
+    return not regions(space, a).bnd
 
 
 def rough_set(space: ApproximationSpace, a: Iterable[str]) -> RoughSet:

@@ -30,6 +30,7 @@ from roughmap.roughset import (
     is_exact,
     lower_approximation,
     regions,
+    rough_membership,
     upper_approximation,
 )
 
@@ -145,7 +146,9 @@ def test_rough_set_oracle_equivalence():
                     lo = _naive_lower(blocks, subset)
                     up = _naive_upper(blocks, subset)
                     got = regions(space, subset)
+                    membership = rough_membership(space, subset)
                     checks = (
+                        membership == tuple((len(set(b) & subset), len(b)) for b in blocks),
                         set(lower_approximation(space, subset)) == lo,
                         set(upper_approximation(space, subset)) == up,
                         set(boundary(space, subset)) == up - lo,

@@ -9,12 +9,11 @@ import pytest
 from roughmap.analysis import (
     ImportanceRecord,
     analyze,
-    importance_degree,
     level_regions,
     truncated,
 )
 from roughmap.conceptmap import integrate, validate_map
-from roughmap.errors import LeafNodeError, NothingToAnalyzeError
+from roughmap.errors import NothingToAnalyzeError
 from roughmap.grading import format_fraction, grade_records
 
 
@@ -77,47 +76,11 @@ class TestLevelRegions:
             assert not (set(reg.bnd) & leaves)
 
 
-class TestImportanceDegree:
-    @pytest.fixture
-    def regs(self, sample_integrated):
-        return {r.level: r for r in level_regions(sample_integrated)}
-
-    def test_node_with_all_green_children(self, sample_integrated, regs):
-        rec = importance_degree("U3", sample_integrated, regs[2])
-        assert (rec.child_count, rec.overlap, rec.alpha) == (2, 2, Fraction(1))
-        assert rec.level == 1
-
-    def test_node_with_one_green_of_four(self, sample_integrated, regs):
-        rec = importance_degree("U5", sample_integrated, regs[2])
-        assert (rec.child_count, rec.overlap, rec.alpha) == (4, 1, Fraction(1, 4))
-
-    def test_node_with_two_green_of_three(self, sample_integrated, regs):
-        rec = importance_degree("U1", sample_integrated, regs[2])
-        assert (rec.child_count, rec.overlap, rec.alpha) == (3, 2, Fraction(2, 3))
-        assert rec.truncated_alpha == Fraction(66, 100)
-
-    def test_root_against_top_regions(self, sample_integrated, regs):
-        # frozen from the level-1 regions: 5 children, 4 of them green
-        rec = importance_degree("S1", sample_integrated, regs[1])
-        assert (rec.child_count, rec.overlap, rec.alpha) == (5, 4, Fraction(4, 5))
-
-    def test_leaf_rejected(self, sample_integrated, regs):
-        with pytest.raises(LeafNodeError):
-            importance_degree("C1", sample_integrated, regs[2])
-
-    def test_wrong_level_regions_rejected(self, sample_integrated, regs):
-        with pytest.raises(ValueError, match="level"):
-            importance_degree("U1", sample_integrated, regs[1])
-
-    def test_unknown_node_rejected(self, sample_integrated, regs):
-        with pytest.raises(ValueError, match="unknown"):
-            importance_degree("XX", sample_integrated, regs[2])
-
-
 class TestAnalyze:
     def test_deepest_only_matches_worked_table(self, sample_integrated):
         result = analyze(sample_integrated)
         assert [r.node for r in result.records] == ["U1", "U2", "U3", "U4", "U5"]
+        assert [r.level for r in result.records] == [1] * 5
         assert [(r.child_count, r.overlap) for r in result.records] == [
             (3, 2), (3, 1), (2, 2), (2, 1), (4, 1)]
         assert [r.truncated_alpha for r in result.records] == [
@@ -129,7 +92,7 @@ class TestAnalyze:
     def test_all_levels_adds_the_root(self, sample_integrated):
         result = analyze(sample_integrated, "all")
         assert [r.node for r in result.records] == ["U1", "U2", "U3", "U4", "U5", "S1"]
-        assert result.records[-1].alpha == Fraction(4, 5)
+        assert (result.records[-1].level, result.records[-1].alpha) == (0, Fraction(4, 5))
         # (2.74 + 0.8) / 6
         assert result.expected_result == Fraction(59, 100)
 
@@ -165,7 +128,7 @@ class TestAnalyze:
         for rec in result.records:
             by_level[rec.level + 1] = by_level.get(rec.level + 1, 0) + rec.child_count
         for level, total in by_level.items():
-            assert total == len(sample_integrated.nodes_at_level(level))
+            assert total == len(sample_integrated.by_level.get(level, ()))
 
 
 def _recount(teacher_nodes, student_nodes):

@@ -189,7 +189,9 @@ class TestBatchCommand:
         (b"register_no,name,department,semester,subject,map_path\nR1,\""
          + b"x" * (csv.field_size_limit() + 1) + b"\"\n",
          f"line 2: field larger than field limit ({csv.field_size_limit()})"),
-    ], ids=["not-utf8", "oversize-field"])
+        (b"register_no,name,department,semester,subject,map_path\nR1,a\n",
+         "line 2: missing cell(s): department, semester, subject, map_path"),
+    ], ids=["not-utf8", "oversize-field", "short-row"])
     def test_unreadable_roster(self, tmp_path, capsys, content, detail):
         roster = tmp_path / "roster.csv"
         roster.write_bytes(content)
