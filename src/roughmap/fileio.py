@@ -17,11 +17,13 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from .analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, analyze
-from .conceptmap import ConceptMap, MapNode, integrate, validate_map
+from .conceptmap import ConceptMap, MapNode, from_columns, integrate, validate_map
 from .errors import (
     DuplicateRegisterError,
     InputError,
@@ -94,23 +96,26 @@ class RunConfig:
             raise ValueError(f"levels must be 'deepest' or 'all', got {self.levels!r}")
 
 
-def parse_concept_map(text: str, source: str = "<string>") -> ConceptMap:
-    """Parse and validate the JSON concept-map format."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MapFileParseError(
-            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:
-        raise MapFileParseError(f"{source}: JSON nested too deeply") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
-        raise MapFileParseError(f"{source}: expected an object with a 'nodes' array")
-    subject = doc.get("subject", "untitled")
-    if not isinstance(subject, str):
-        raise MapFileParseError(f"{source}: 'subject' must be a string")
+_ID, _PARENT = itemgetter("id"), itemgetter("parent")
+_OPTIONAL_STR = {str, type(None)}
+
+
+def _map_nodes(entries: list, source: str) -> tuple[MapNode, ...]:
+    """The nodes of a map's entries.  Their id, parent and phrase columns are
+    read in bulk and type-checked as sets; only entries failing that are
+    checked one by one, to name the first malformed entry."""
+    if set(map(type, entries)) <= {dict}:
+        try:
+            ids, parents = list(map(_ID, entries)), list(map(_PARENT, entries))
+        except KeyError:
+            pass
+        else:
+            phrases = list(map(dict.get, entries, repeat("phrase")))
+            if (set(map(type, ids)) <= {str}
+                    and set(map(type, parents)) | set(map(type, phrases)) <= _OPTIONAL_STR):
+                return from_columns(MapNode, ids, parents, phrases)
     nodes: list[MapNode] = []
-    for i, entry in enumerate(doc["nodes"]):
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "parent" not in entry:
             raise MapFileParseError(f"{source}: nodes[{i}] must be an object with 'id' and 'parent'")
         nid, parent, phrase = entry["id"], entry["parent"], entry.get("phrase")
@@ -120,8 +125,30 @@ def parse_concept_map(text: str, source: str = "<string>") -> ConceptMap:
             raise MapFileParseError(f"{source}: nodes[{i}].parent must be a string or null")
         if phrase is not None and not isinstance(phrase, str):
             raise MapFileParseError(f"{source}: nodes[{i}].phrase must be a string")
-        nodes.append(MapNode(id=nid, parent=parent, phrase=phrase))
-    return validate_map(nodes, subject=subject)
+        nodes.append(MapNode(nid, parent, phrase))
+    return tuple(nodes)
+
+
+def parse_concept_map(text: str | bytes, source: str = "<string>") -> ConceptMap:
+    """Parse and validate the JSON concept-map format."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MapFileParseError(
+            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise MapFileParseError(f"{source}: JSON nested too deeply") from exc
+    except UnicodeDecodeError as exc:  # json.loads decodes bytes itself
+        raise MapFileParseError(
+            f"{source}: not {exc.encoding} text: {exc.reason} at byte {exc.start}"
+        ) from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
+        raise MapFileParseError(f"{source}: expected an object with a 'nodes' array")
+    subject = doc.get("subject", "untitled")
+    if not isinstance(subject, str):
+        raise MapFileParseError(f"{source}: 'subject' must be a string")
+    return validate_map(_map_nodes(doc["nodes"], source), subject=subject)
 
 
 def parse_concept_map_file(path: str | Path) -> ConceptMap:
@@ -160,7 +187,11 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
             raise RosterSchemaError(f"{path}: missing column(s): {', '.join(missing)}")
         records: list[RosterRecord] = []
         seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num  # where the header ends
+        for row in reader:
+            # A quoted newline makes a record span lines: it starts on the
+            # line after the previous record's end.
+            lineno, end = end + 1, reader.line_num
             short = [c for c in ROSTER_COLUMNS if row[c] is None]
             if short:
                 raise RosterSchemaError(f"{path}: line {lineno}: missing cell(s): {', '.join(short)}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode
@@ -116,11 +117,14 @@ def remediation_sequence(
     """Nodes with alpha below 1, sorted by alpha; ties broken by node id."""
     if order not in (ASCENDING, DESCENDING):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
-    pending = [r for r in records if r.alpha < 1]
+    pending = [r for r in records if r.overlap < r.child_count]
     # Two stable passes give the (alpha, node) / (-alpha, node) order with no
     # tuple keys or negated Fractions; reverse=True keeps ties in node order.
+    # The second pass sorts on alpha * lcm(child counts), an exact integer,
+    # so no Fraction is compared.
+    scale = math.lcm(*{r.child_count for r in pending})
     pending.sort(key=attrgetter("node"))
-    pending.sort(key=attrgetter("alpha"), reverse=order == DESCENDING)
+    pending.sort(key=lambda r: r.overlap * (scale // r.child_count), reverse=order == DESCENDING)
     return RemediationPlan(order=order, steps=tuple(PlanStep(r.node, r.alpha) for r in pending))
 
 

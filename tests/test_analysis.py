@@ -174,6 +174,19 @@ class TestScaling:
         parents = {f"n{i}" for i in range(n) if i < n - 1 or i % 5 == 0}
         _check_scaling(teacher, student, "all", parents)
 
+    def test_child_first_chain_ingest(self):
+        n = 20_000
+        teacher = [(f"n{i}", f"n{i - 1}" if i else None) for i in range(n)]
+        # the student extends the chain by n student-only nodes; both maps
+        # list every child before its parent
+        extra = [(f"x{i}", f"x{i - 1}" if i else f"n{n - 1}") for i in range(n)]
+        started = time.perf_counter()
+        imap = integrate(validate_map(teacher[::-1]), validate_map((teacher + extra)[::-1]))
+        elapsed = time.perf_counter() - started
+        assert [node.level for node in imap.nodes] == list(range(n - 1, -1, -1)) + list(
+            range(2 * n - 1, n - 1, -1))
+        assert elapsed <= 2.0, f"validate and integrate took {elapsed:.2f}s"
+
     def test_deepest_level_on_a_wide_map(self):
         units, concepts = 5_000, 10
         teacher = [("root", None)] + [(f"u{u}", "root") for u in range(units)]

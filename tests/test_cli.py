@@ -191,7 +191,13 @@ class TestBatchCommand:
          f"line 2: field larger than field limit ({csv.field_size_limit()})"),
         (b"register_no,name,department,semester,subject,map_path\nR1,a\n",
          "line 2: missing cell(s): department, semester, subject, map_path"),
-    ], ids=["not-utf8", "oversize-field", "short-row"])
+        (b"register_no,name,department,semester,subject,map_path\nR1,\"a\nb\",d,s,sub,m.json\n"
+         b",c,d,s,sub,m.json\n",
+         "line 4: empty register_no"),
+        (b"register_no,name,department,semester,subject,map_path\nR1,\"a\nb\",d,s,sub,m.json\n"
+         b",\"c\nd\",d,s,sub,m.json\n",
+         "line 4: empty register_no"),
+    ], ids=["not-utf8", "oversize-field", "short-row", "quoted-newline", "bad-record-spans-lines"])
     def test_unreadable_roster(self, tmp_path, capsys, content, detail):
         roster = tmp_path / "roster.csv"
         roster.write_bytes(content)

@@ -1,0 +1,348 @@
+"""Differential and fuzz tests for map ingest: parse, validate, integrate.
+
+The ``reference_*`` functions are the per-entry, per-node implementations
+the columnar ingest replaced, kept as the oracle: on every input both sides
+must return the same nodes and levels, or raise the same exception type with
+the same message.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from collections import deque
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import assume, given, settings
+
+from roughmap.conceptmap import (
+    ConceptMap,
+    MapNode,
+    NodeColor,
+    compute_levels,
+    integrate,
+    validate_map,
+)
+from roughmap.errors import (
+    CycleError,
+    DuplicateNodeError,
+    MapFileParseError,
+    OrphanNodeError,
+    RootCountError,
+    RootMismatchError,
+    RoughMapError,
+    UnknownParentError,
+    ValidationError,
+)
+from roughmap.fileio import parse_concept_map
+from strategies import concept_maps
+
+
+def reference_levels(pairs) -> dict:
+    """Breadth-first level assignment from the last root listed."""
+    children: dict = {}
+    root = None
+    for nid, parent in pairs:
+        children.setdefault(nid, [])
+        if parent is None:
+            root = nid
+        else:
+            children.setdefault(parent, []).append(nid)
+    levels = {root: 0}
+    queue = deque([root])
+    while queue:
+        current = queue.popleft()
+        for child in children[current]:
+            levels[child] = levels[current] + 1
+            queue.append(child)
+    return levels
+
+
+def reference_validate(nodes) -> tuple:
+    """(nodes as (id, parent, phrase) tuples, levels) of a valid map."""
+    normalized = [(*n, None) if len(n) == 2 else tuple(n) for n in nodes]
+    if not normalized:
+        raise RootCountError("map has no nodes")
+    ids: set = set()
+    for nid, _, _ in normalized:
+        if nid in ids:
+            raise DuplicateNodeError(f"duplicate node id: {nid!r}")
+        ids.add(nid)
+    for nid, parent, _ in normalized:
+        if parent is not None and parent not in ids:
+            raise UnknownParentError(f"node {nid!r} references unknown parent {parent!r}")
+    parent_of = {nid: parent for nid, parent, _ in normalized}
+    resolved: set = set()
+    for nid, _, _ in normalized:
+        path: list = []
+        on_path: set = set()
+        current = nid
+        while current is not None and current not in resolved:
+            if current in on_path:
+                cycle = path[path.index(current):] + [current]
+                raise CycleError("cycle among nodes: " + " -> ".join(cycle))
+            on_path.add(current)
+            path.append(current)
+            current = parent_of[current]
+        resolved.update(path)
+    roots = [nid for nid, parent, _ in normalized if parent is None]
+    if not roots:
+        raise RootCountError("map has no root node")
+    if len(roots) > 1:
+        raise RootCountError(f"multiple root nodes: {roots}")
+    return tuple(normalized), reference_levels((nid, parent) for nid, parent, _ in normalized)
+
+
+def reference_parse(text: str, source: str = "<string>") -> tuple:
+    """(subject, nodes, levels) of a JSON map, checked entry by entry."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MapFileParseError(
+            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
+        raise MapFileParseError(f"{source}: expected an object with a 'nodes' array")
+    subject = doc.get("subject", "untitled")
+    if not isinstance(subject, str):
+        raise MapFileParseError(f"{source}: 'subject' must be a string")
+    nodes = []
+    for i, entry in enumerate(doc["nodes"]):
+        if not isinstance(entry, dict) or "id" not in entry or "parent" not in entry:
+            raise MapFileParseError(f"{source}: nodes[{i}] must be an object with 'id' and 'parent'")
+        nid, parent, phrase = entry["id"], entry["parent"], entry.get("phrase")
+        if not isinstance(nid, str):
+            raise MapFileParseError(f"{source}: nodes[{i}].id must be a string")
+        if parent is not None and not isinstance(parent, str):
+            raise MapFileParseError(f"{source}: nodes[{i}].parent must be a string or null")
+        if phrase is not None and not isinstance(phrase, str):
+            raise MapFileParseError(f"{source}: nodes[{i}].phrase must be a string")
+        nodes.append((nid, parent, phrase))
+    return (subject, *reference_validate(nodes))
+
+
+def reference_integrate(teacher, student) -> tuple:
+    """Integrated (id, parent, level, color) rows of two (id, parent) lists."""
+    teacher_root = next(nid for nid, parent in teacher if parent is None)
+    student_root = next(nid for nid, parent in student if parent is None)
+    if teacher_root != student_root:
+        raise RootMismatchError(
+            f"root ids differ: teacher {teacher_root!r}, student {student_root!r}"
+        )
+    student_parent = dict(student)
+    teacher_ids = {nid for nid, _ in teacher}
+    merged = []
+    for nid, parent in teacher:
+        if parent is None:
+            merged.append((nid, None, None))
+            continue
+        consistent = nid in student_parent and student_parent[nid] == parent
+        merged.append((nid, parent, NodeColor.GREEN if consistent else NodeColor.RED))
+    merged += [(nid, parent, NodeColor.GREEN) for nid, parent in student if nid not in teacher_ids]
+    all_ids = {nid for nid, _, _ in merged}
+    for nid, parent, _ in merged:
+        if parent is not None and parent not in all_ids:
+            raise OrphanNodeError(f"node {nid!r} has parent {parent!r} present in neither map")
+    levels = reference_levels((nid, parent) for nid, parent, _ in merged)
+    if len(levels) != len(merged):
+        unreachable = [nid for nid, _, _ in merged if nid not in levels]
+        raise CycleError(f"nodes unreachable from the root: {unreachable}")
+    return tuple((nid, parent, levels[nid], color) for nid, parent, color in merged)
+
+
+def outcome(fn, *args):
+    """What a call did: ("ok", value) or ("raised", type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the oracle's failures are compared, not raised
+        return ("raised", type(exc), str(exc))
+
+
+POOL = ("a", "b", "c", "d", "e")
+
+
+def links(ids) -> st.SearchStrategy:
+    """A parent: a listed id, none (another root), or an id nobody lists."""
+    return st.sampled_from((*ids, None, "ghost"))
+
+
+@st.composite
+def node_lists(draw) -> list:
+    """(id, parent) lists in any order: shuffled trees, some with one link
+    rewired or one node listed twice, and arbitrary links among a few ids
+    (unknown parents, cycles, no root or several)."""
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.sampled_from(POOL), unique=True))
+        return [(nid, draw(links(POOL))) for nid in ids]
+    tree = draw(concept_maps(max_nodes=12, min_nodes=1))
+    nodes = draw(st.permutations([(n.id, n.parent) for n in tree.nodes]))
+    ids = [nid for nid, _ in nodes]
+    change = draw(st.sampled_from(["none", "rewire", "duplicate"]))
+    if change == "rewire":
+        i = draw(st.integers(0, len(nodes) - 1))
+        nodes[i] = (nodes[i][0], draw(links(ids)))
+    elif change == "duplicate":
+        nodes.insert(draw(st.integers(0, len(nodes))),
+                     (draw(st.sampled_from(ids)), draw(links(ids))))
+    return nodes
+
+
+NOT_A_STRING = st.sampled_from([0, 2.5, True, [], ["a"], {}, {"id": "a"}])
+HOSTILE_ENTRIES = st.one_of(
+    st.sampled_from([1, "a", None, True, [], ["a", None]]),
+    st.sampled_from([{}, {"id": "a"}, {"parent": None}, {"id": "a", "phrase": "p"}]),
+    st.builds(lambda v: {"id": v, "parent": None}, NOT_A_STRING | st.none()),
+    st.builds(lambda v: {"id": "a", "parent": v}, NOT_A_STRING),
+    st.builds(lambda v: {"id": "a", "parent": None, "phrase": v}, NOT_A_STRING),
+)
+
+
+@st.composite
+def map_documents(draw) -> dict:
+    """A map document from `node_lists`, phrases on some entries, and up to
+    two hostile entries inserted anywhere."""
+    entries = []
+    for nid, parent in draw(node_lists()):
+        entry = {"id": nid, "parent": parent}
+        if draw(st.booleans()):
+            entry["phrase"] = draw(st.none() | st.text(max_size=3))
+        entries.append(entry)
+    for _ in range(draw(st.integers(0, 2))):
+        entries.insert(draw(st.integers(0, len(entries))), draw(HOSTILE_ENTRIES))
+    return {"subject": draw(st.sampled_from(["s", "Course é"])), "nodes": entries}
+
+
+@st.composite
+def map_pairs(draw) -> tuple:
+    """(teacher, student) (id, parent) lists with unique ids and one shared
+    root listed first.  The student keeps, misplaces or omits teacher nodes
+    and adds extras whose parents may be another extra, nothing (a second
+    root) or an id in neither map; the teacher may have one link rewired."""
+    teacher = [(n.id, n.parent) for n in draw(concept_maps(max_nodes=10)).nodes]
+    ids = [nid for nid, _ in teacher]
+    extras = [f"x{i}" for i in range(draw(st.integers(0, 3)))]
+    anywhere = st.sampled_from([*ids, *extras])
+    student = []
+    for nid, parent in teacher[1:]:
+        kind = draw(st.sampled_from(["keep", "misplace", "omit"]))
+        if kind != "omit":
+            student.append((nid, parent if kind == "keep" else draw(anywhere)))
+    student += [(x, draw(links([*ids, *extras]))) for x in extras]
+    student = [teacher[0]] + draw(st.permutations(student))
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(teacher) - 1))
+        teacher[i] = (teacher[i][0], draw(links([*ids, *extras])))
+    return teacher, student
+
+
+def as_map(nodes, hand_built: bool) -> ConceptMap:
+    """A validated map, or one built by hand (also when validation fails)."""
+    if not hand_built:
+        try:
+            return validate_map(nodes, subject="s")
+        except ValidationError:
+            pass
+    return ConceptMap(subject="s", nodes=tuple(MapNode(*n) for n in nodes))
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(map_documents())
+    def test_parse(self, doc):
+        text = json.dumps(doc)
+
+        def parse(text):
+            cmap = parse_concept_map(text)
+            return cmap.subject, tuple(cmap.nodes), compute_levels(cmap)
+
+        assert outcome(parse, text) == outcome(reference_parse, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(node_lists())
+    def test_validate(self, nodes):
+        def validate(nodes):
+            cmap = validate_map(nodes)
+            return tuple(cmap.nodes), compute_levels(cmap)
+
+        assert outcome(validate, nodes) == outcome(reference_validate, nodes)
+
+    @settings(max_examples=400, deadline=None)
+    @given(node_lists())
+    def test_levels_of_a_map_built_by_hand(self, nodes):
+        ids = [nid for nid, _ in nodes]
+        assume(len(set(ids)) == len(ids) and None in dict(nodes).values())
+        cmap = ConceptMap(subject="s", nodes=tuple(MapNode(*n) for n in nodes))
+        assert compute_levels(cmap) == reference_levels(nodes)
+
+    @settings(max_examples=400, deadline=None)
+    @given(map_pairs(), st.booleans(), st.booleans())
+    def test_integrate(self, pair, teacher_by_hand, student_by_hand):
+        teacher, student = pair
+        got = outcome(lambda: tuple(integrate(as_map(teacher, teacher_by_hand),
+                                              as_map(student, student_by_hand)).nodes))
+        assert got == outcome(reference_integrate, teacher, student)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["id", "parent", "phrase", "nodes", "subject"]) | st.text(max_size=3),
+        inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES | st.builds(lambda nodes: {"nodes": nodes}, st.lists(JSON_VALUES)))
+    def test_any_json_value(self, value):
+        try:
+            parse_concept_map(json.dumps(value))
+        except RoughMapError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64) | st.text(max_size=32).map(str.encode))
+    def test_any_bytes(self, data):
+        try:
+            parse_concept_map(data)
+        except RoughMapError:
+            pass
+
+
+
+N = 10_000
+CYCLIC_MAPS = {
+    # 10 000 separate two-cycles
+    "two-cycles": [pair for i in range(N) for pair in ((f"a{i}", f"b{i}"), (f"b{i}", f"a{i}"))],
+    # a chain listed child first that climbs into a two-cycle, then N
+    # leaves under the chain's first node
+    "chain-into-cycle": [(f"t{i}", f"t{i + 1}") for i in range(N - 1)]
+    + [(f"t{N - 1}", "c0"), ("c0", "c1"), ("c1", "c0")]
+    + [(f"x{i}", "t0") for i in range(N)],
+}
+
+
+@pytest.mark.parametrize("shape", CYCLIC_MAPS)
+class TestScaling:
+    """Cyclic maps of 20 000 nodes: each node is climbed through at most
+    once, and the error is the reference's."""
+
+    def test_validate(self, shape):
+        nodes = CYCLIC_MAPS[shape]
+        started = time.perf_counter()
+        got = outcome(validate_map, nodes)
+        elapsed = time.perf_counter() - started
+        assert got == outcome(reference_validate, nodes)
+        assert got[:2] == ("raised", CycleError)
+        assert elapsed <= 2.0, f"validate took {elapsed:.2f}s"
+
+    def test_integrate_hand_built(self, shape):
+        teacher, student = [("root", None), *CYCLIC_MAPS[shape]], [("root", None)]
+        started = time.perf_counter()
+        got = outcome(integrate, as_map(teacher, True), as_map(student, True))
+        elapsed = time.perf_counter() - started
+        assert got == outcome(reference_integrate, teacher, student)
+        assert got[:2] == ("raised", CycleError)
+        assert elapsed <= 2.0, f"integrate took {elapsed:.2f}s"
