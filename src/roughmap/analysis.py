@@ -11,8 +11,10 @@ degree of a parent is |children & GREEN| / |children|
 the lower approximation of the green set, one of degree 0 outside its upper
 approximation.
 
-Nodes are bucketed by level once, and one approximation space over the
-selected levels yields every degree, so analysis is O(n).
+Nodes are bucketed by level in one pass, and one approximation space over
+the selected levels yields every degree, so analysis is O(n).  Records are
+named tuples built in bulk from columns, and the records of one degree share
+one Fraction: a map has few distinct (green, children) pairs.
 
 Degrees are exact rationals.  For display, and for the aggregate expected
 result, they are truncated toward zero at two decimal places (2/3 becomes
@@ -25,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable
+from itertools import chain, repeat
+from operator import attrgetter, floordiv, mul, sub
+from typing import Iterable, NamedTuple
 
-from .conceptmap import IntegratedMap, NodeColor
+from .conceptmap import IntegratedMap, NodeColor, from_columns
 from .errors import NothingToAnalyzeError
 from .roughset import ApproximationSpace, rough_membership
 
@@ -53,8 +56,7 @@ def truncated(value: Fraction, places: int = TRUNCATION_PLACES) -> Fraction:
     return Fraction(value.numerator * scale // value.denominator, scale)
 
 
-@dataclass(frozen=True)
-class LevelRegions:
+class LevelRegions(NamedTuple):
     """Classified nodes at one level plus their parents one level up.
 
     `pos` and `neg` split the nodes at `level` by color; `bnd` holds their
@@ -67,8 +69,7 @@ class LevelRegions:
     bnd: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ImportanceRecord:
+class ImportanceRecord(NamedTuple):
     """Importance degree of one boundary node.
 
     `level` is the node's own level; its children sit at ``level + 1``.
@@ -97,28 +98,29 @@ class AnalysisResult:
         return self.expected_result * len(self.records)
 
 
+_level, _pos, _bnd = attrgetter("level"), attrgetter("pos"), attrgetter("bnd")
+
+
 def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
     """POS/NEG/BND for every level from the deepest down to 1.
 
     Only non-leaf nodes can appear in a boundary set, since a boundary set
     holds parents of classified nodes; leaves are thereby bypassed.
     """
-    if imap.max_level < 1:
+    top = imap.max_level
+    if top < 1:
         raise NothingToAnalyzeError("map has a single node, nothing to classify")
-    # Enum member lookups cost more than the loops; read them once.
-    green, red = NodeColor.GREEN, NodeColor.RED
-    out = []
-    for level in range(imap.max_level, 0, -1):
-        classified = imap.by_level[level]
-        out.append(
-            LevelRegions(
-                level=level,
-                pos=tuple([n.id for n in classified if n.color is green]),
-                neg=tuple([n.id for n in classified if n.color is red]),
-                bnd=tuple(dict.fromkeys([n.parent for n in classified])),
-            )
-        )
-    return tuple(out)
+    # One pass buckets ids by level and colour and parents by level, in node
+    # order.  The root lands in neg[0] and bnd[0], which no region reads.
+    green = NodeColor.GREEN
+    pos, neg = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
+    bnd: list[dict] = [{} for _ in range(top + 1)]
+    for nid, parent, level, color in imap.nodes:
+        (pos if color is green else neg)[level].append(nid)
+        bnd[level][parent] = None
+    deepest_first = slice(top, 0, -1)
+    return from_columns(LevelRegions, range(top, 0, -1), map(tuple, pos[deepest_first]),
+                        map(tuple, neg[deepest_first]), map(tuple, bnd[deepest_first]))
 
 
 def analyze(imap: IntegratedMap, levels: str | Iterable[int] = DEEPEST_ONLY) -> AnalysisResult:
@@ -132,34 +134,33 @@ def analyze(imap: IntegratedMap, levels: str | Iterable[int] = DEEPEST_ONLY) -> 
     records' truncated alphas.
     """
     all_regions = level_regions(imap)
-    by_level = {r.level: r for r in all_regions}
     if isinstance(levels, str):
         if levels == DEEPEST_ONLY:
-            selected = [all_regions[0].level]
+            chosen = all_regions[:1]
         elif levels == ALL_LEVELS:
-            selected = [r.level for r in all_regions]
+            chosen = all_regions
         else:
             raise ValueError(f"levels must be 'deepest', 'all', or an iterable of ints, got {levels!r}")
     else:
+        by_level = {r.level: r for r in all_regions}
         selected = sorted(set(levels), reverse=True)
         unknown = [lvl for lvl in selected if lvl not in by_level]
         if unknown:
             raise ValueError(f"no such level(s): {unknown}")
         if not selected:
             raise ValueError("no levels selected")
-    chosen = [by_level[level] for level in selected]
-    parents = [(node, reg.level - 1) for reg in chosen for node in reg.bnd]
-    space = ApproximationSpace.from_blocks(imap.children_of[node] for node, _ in parents)
-    membership = rough_membership(space, chain.from_iterable(reg.pos for reg in chosen))
-    records = [
-        ImportanceRecord(node=node, level=level, child_count=size, overlap=inside,
-                         alpha=Fraction(inside, size))
-        for (node, level), (inside, size) in zip(parents, membership)
-    ]
+        chosen = [by_level[level] for level in selected]
+    nodes = list(chain.from_iterable(map(_bnd, chosen)))
+    node_levels = chain.from_iterable(map(repeat, map(sub, map(_level, chosen), repeat(1)),
+                                          map(len, map(_bnd, chosen))))
+    space = ApproximationSpace.from_blocks(map(imap.children_of.__getitem__, nodes))
+    membership = rough_membership(space, chain.from_iterable(map(_pos, chosen)))
+    overlaps, sizes = zip(*membership)
+    # One Fraction per distinct (overlap, size) pair, shared by its records.
+    degrees = {pair: Fraction(*pair) for pair in set(membership)}
+    records = from_columns(ImportanceRecord, nodes, node_levels, sizes, overlaps,
+                           map(degrees.__getitem__, membership))
     scale = 10 ** TRUNCATION_PLACES
-    total = Fraction(sum(r.overlap * scale // r.child_count for r in records), scale)
-    return AnalysisResult(
-        regions=all_regions,
-        records=tuple(records),
-        expected_result=total / len(records),
-    )
+    total = Fraction(sum(map(floordiv, map(mul, overlaps, repeat(scale)), sizes)), scale)
+    return AnalysisResult(regions=all_regions, records=records,
+                          expected_result=total / len(records))

@@ -45,7 +45,7 @@ __all__ = [
 
 # zip(*nodes) would build one tuple iterator per node, and that garbage wakes
 # the cyclic collector; these read a column in C without it.
-_id, _parent = attrgetter("id"), attrgetter("parent")
+_id, _parent, _level = attrgetter("id"), attrgetter("parent"), attrgetter("level")
 
 
 class NodeColor(Enum):
@@ -113,16 +113,8 @@ class IntegratedMap:
         return children
 
     @cached_property
-    def by_level(self) -> dict[int, tuple[IntegratedNode, ...]]:
-        """Nodes bucketed by level in one pass, node order kept per level."""
-        buckets: dict[int, list[IntegratedNode]] = {}
-        for n in self.nodes:
-            buckets.setdefault(n.level, []).append(n)
-        return {level: tuple(ns) for level, ns in buckets.items()}
-
-    @cached_property
     def max_level(self) -> int:
-        return max(self.by_level)
+        return max(map(_level, self.nodes))
 
 
 def from_columns(cls, *columns) -> tuple:

@@ -6,7 +6,8 @@ Concept maps are JSON documents::
                                  {"id": "U1", "parent": "S1", "phrase": "includes"}]}
 
 Rosters are CSV with header
-``register_no,name,department,semester,subject,map_path``.  Exit statuses:
+``register_no,name,department,semester,subject,map_path``.  Both are UTF-8
+text; a leading byte order mark is skipped.  Exit statuses:
 0 success, 1 validation/analysis error, 2 I/O or parse error.
 """
 
@@ -157,7 +158,7 @@ def parse_concept_map_file(path: str | Path) -> ConceptMap:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MapFileParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    return parse_concept_map(text, source=str(path))
+    return parse_concept_map(text.removeprefix("\ufeff"), source=str(path))
 
 
 def serialize_concept_map(cmap: ConceptMap) -> str:
@@ -175,7 +176,7 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
     """Read a roster CSV; rows keep file order, register numbers must be unique."""
     path = Path(path)
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise RosterSchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))

@@ -5,6 +5,10 @@ The remediation sequence lists every node whose importance degree is below 1
 (a degree of exactly 1 means the whole branch is already known), ordered by
 degree in either direction with ties broken by node id.
 
+Graded rows and plan steps are named tuples built in bulk from columns, and
+renderers read columns; records of one degree share one Fraction, which each
+report formats once.
+
 The JSON report has a fixed layout: 2-space indent, keys in the fixed order
 regions, records, total, expected_result, expected_result_display, graded,
 plan (order, steps), and non-ASCII characters escaped as ``\\uXXXX``.  Its
@@ -20,11 +24,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import compress, count, repeat
 from json.encoder import encode_basestring_ascii as _encode
-from operator import attrgetter
-from typing import Iterable, Sequence
+from operator import add, attrgetter, floordiv, lt, mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import AnalysisResult, ImportanceRecord, LevelRegions
+from .conceptmap import from_columns
 from .errors import PercentRangeError, ReportFormatError
 
 __all__ = [
@@ -64,16 +71,14 @@ GRADE_BANDS: tuple[GradeBand, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class GradedRecord:
+class GradedRecord(NamedTuple):
     node: str
     expected_percent: int  # always 100
     actual_percent: int
     grade: str
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     node: str
     alpha: Fraction
 
@@ -94,21 +99,25 @@ def assign_grade(actual_percent: int) -> str:
     raise AssertionError("grade bands must cover 0..100")
 
 
+# Columns of records, graded rows, plan steps and regions, read in C.
+_node, _alpha, _level = attrgetter("node"), attrgetter("alpha"), attrgetter("level")
+_child_count, _overlap, _grade = attrgetter("child_count"), attrgetter("overlap"), attrgetter("grade")
+_expected, _actual = attrgetter("expected_percent"), attrgetter("actual_percent")
+_pos, _neg, _bnd = attrgetter("pos"), attrgetter("neg"), attrgetter("bnd")
+
+#: The grade of each percent 0..100, by index.
+_GRADE_OF_PERCENT = tuple(map(assign_grade, range(101)))
+
+
 def grade_records(records: Sequence[ImportanceRecord]) -> tuple[GradedRecord, ...]:
     """One graded row per record; the percent is the alpha truncated to an
     integer percentage."""
-    out = []
-    for rec in records:
-        percent = rec.alpha.numerator * 100 // rec.alpha.denominator
-        out.append(
-            GradedRecord(
-                node=rec.node,
-                expected_percent=100,
-                actual_percent=percent,
-                grade=assign_grade(percent),
-            )
-        )
-    return tuple(out)
+    percents = list(map(floordiv, map(mul, map(_overlap, records), repeat(100)),
+                        map(_child_count, records)))
+    if percents and not 0 <= min(percents) <= max(percents) <= 100:
+        assign_grade(next(p for p in percents if not 0 <= p <= 100))  # raises
+    return from_columns(GradedRecord, map(_node, records), repeat(100), percents,
+                        map(_GRADE_OF_PERCENT.__getitem__, percents))
 
 
 def remediation_sequence(
@@ -117,15 +126,16 @@ def remediation_sequence(
     """Nodes with alpha below 1, sorted by alpha; ties broken by node id."""
     if order not in (ASCENDING, DESCENDING):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
-    pending = [r for r in records if r.overlap < r.child_count]
+    pending = list(compress(records, map(lt, map(_overlap, records), map(_child_count, records))))
     # Two stable passes give the (alpha, node) / (-alpha, node) order with no
     # tuple keys or negated Fractions; reverse=True keeps ties in node order.
     # The second pass sorts on alpha * lcm(child counts), an exact integer,
     # so no Fraction is compared.
-    scale = math.lcm(*{r.child_count for r in pending})
-    pending.sort(key=attrgetter("node"))
+    scale = math.lcm(*set(map(_child_count, pending)))
+    pending.sort(key=_node)
     pending.sort(key=lambda r: r.overlap * (scale // r.child_count), reverse=order == DESCENDING)
-    return RemediationPlan(order=order, steps=tuple(PlanStep(r.node, r.alpha) for r in pending))
+    return RemediationPlan(order=order, steps=from_columns(PlanStep, map(_node, pending),
+                                                           map(_alpha, pending)))
 
 
 def format_fraction(value: Fraction, places: int) -> str:
@@ -143,98 +153,98 @@ def render_report(
     report_format: str = "text",
 ) -> str:
     """Serialize one analysis deterministically in the requested format."""
-    # A report holds few distinct degrees: format each once, keyed by a tuple
-    # because hashing a Fraction is far slower.
-    strings: dict[tuple[int, int], tuple[str, str]] = {}
-
-    def degree(alpha: Fraction) -> tuple[str, str]:  # (str(alpha), display)
-        key = (alpha.numerator, alpha.denominator)
-        if key not in strings:
-            strings[key] = (str(alpha), format_fraction(alpha, 2))
-        return strings[key]
-
     if report_format == "text":
-        return _render_text(result, graded, plan, degree)
+        return _render_text(result, graded, plan)
     if report_format == "csv":
-        return _render_csv(result, graded, plan, degree)
+        return _render_csv(result, graded, plan)
     if report_format == "json":
-        return _render_json(result, graded, plan, degree)
+        return _render_json(result, graded, plan)
     raise ReportFormatError(f"unknown report format: {report_format!r}")
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return lines
+_display = partial(format_fraction, places=2)
 
 
-def _render_text(result, graded, plan, degree) -> str:
+def _degrees(result: AnalysisResult, plan: RemediationPlan, *forms) -> list[list[str]]:
+    """For each of `forms`, its strings of the records' alphas, then of the
+    plan steps'.  Records of a degree share one Fraction and steps reuse
+    them, so each form runs once per object, told apart by id (hashing a
+    Fraction runs Python code); `alphas` keeps the objects alive."""
+    alphas = list(map(_alpha, result.records))
+    alphas += map(_alpha, plan.steps)
+    keys = list(map(id, alphas))
+    distinct = dict(zip(keys, alphas))
+    columns = []
+    for form in forms:
+        column = list(map(dict(zip(distinct, map(form, distinct.values()))).__getitem__, keys))
+        columns += [column[:len(result.records)], column[len(result.records):]]
+    return columns
+
+
+def _table(headers: Sequence[str], columns: Iterable[Iterable[str]]) -> list[str]:
+    """Left-aligned columns two spaces apart, header row first, trailing
+    blanks stripped."""
+    columns = [[header, *column] for header, column in zip(headers, columns)]
+    line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in columns).format
+    return list(map(str.rstrip, map(line, *columns)))
+
+
+_join = ", ".join
+_REGION_LINE = "level {}: POS={{{}}}  NEG={{{}}}  BND={{{}}}".format
+
+
+def _render_text(result, graded, plan) -> str:
+    regions, records, steps = result.regions, result.records, plan.steps
+    degrees, step_degrees = _degrees(result, plan, _display)
     lines: list[str] = ["Level regions", "-------------"]
-    for reg in result.regions:
-        lines.append(
-            f"level {reg.level}: POS={{{', '.join(reg.pos)}}}"
-            f"  NEG={{{', '.join(reg.neg)}}}  BND={{{', '.join(reg.bnd)}}}"
-        )
+    lines += map(_REGION_LINE, map(_level, regions), map(_join, map(_pos, regions)),
+                 map(_join, map(_neg, regions)), map(_join, map(_bnd, regions)))
     lines += ["", "Result analysis", "---------------"]
     # Rows are labelled with the level of the children being aggregated,
     # i.e. the level of the boundary set the node belongs to.
-    rows = [
-        [
-            rec.node,
-            str(rec.level + 1),
-            str(rec.child_count),
-            str(rec.overlap),
-            f"{rec.overlap}/{rec.child_count}={degree(rec.alpha)[1]}",
-        ]
-        for rec in result.records
-    ]
-    lines += _table(["BND set", "Level", "Children", "Green", "Importance"], rows)
-    if result.records:
+    counts = list(map(str, map(_child_count, records)))
+    overlaps = list(map(str, map(_overlap, records)))
+    lines += _table(
+        ["BND set", "Level", "Children", "Green", "Importance"],
+        [map(_node, records), map(str, map(add, map(_level, records), repeat(1))), counts,
+         overlaps, map("{}/{}={}".format, overlaps, counts, degrees)],
+    )
+    if records:
         lines.append(
             f"total = {format_fraction(result.total, 2)}"
-            f"   records = {len(result.records)}"
+            f"   records = {len(records)}"
             f"   expected result = {format_fraction(result.expected_result, EXPECTED_RESULT_PLACES)}"
         )
     lines += ["", "Grades", "------"]
-    rows = [
-        [g.node, str(g.expected_percent), str(g.actual_percent), g.grade]
-        for g in graded
-    ]
-    lines += _table(["BND set", "Expected (%)", "Actual (%)", "Grade"], rows)
+    lines += _table(
+        ["BND set", "Expected (%)", "Actual (%)", "Grade"],
+        [map(_node, graded), map(str, map(_expected, graded)), map(str, map(_actual, graded)),
+         map(_grade, graded)],
+    )
     direction = "smallest" if plan.order == ASCENDING else "largest"
-    lines += ["", f"Remediation sequence ({direction} importance first)",
-              "-" * len(f"Remediation sequence ({direction} importance first)")]
-    for i, step in enumerate(plan.steps, start=1):
-        lines.append(f"{i}. {step.node}  {degree(step.alpha)[1]}")
+    title = f"Remediation sequence ({direction} importance first)"
+    lines += ["", title, "-" * len(title)]
+    lines += map("{}. {}  {}".format, count(1), map(_node, steps), step_degrees)
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(result, graded, plan, degree) -> str:
+def _render_csv(result, graded, plan) -> str:
+    records, steps = result.records, plan.steps
+    degrees, step_degrees = _degrees(result, plan, _display)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["node", "level", "child_count", "overlap", "alpha",
-         "expected_percent", "actual_percent", "grade"]
-    )
-    graded_by_node = {g.node: g for g in graded}
-    for rec in result.records:
-        g = graded_by_node[rec.node]
-        writer.writerow(
-            [rec.node, rec.level + 1, rec.child_count, rec.overlap,
-             degree(rec.alpha)[1], g.expected_percent, g.actual_percent, g.grade]
-        )
-    if result.records:
+    writer.writerow(["node", "level", "child_count", "overlap", "alpha",
+                     "expected_percent", "actual_percent", "grade"])
+    rows = list(map(dict(zip(map(_node, graded), graded)).__getitem__, map(_node, records)))
+    writer.writerows(zip(map(_node, records), map(add, map(_level, records), repeat(1)),
+                         map(_child_count, records), map(_overlap, records), degrees,
+                         map(_expected, rows), map(_actual, rows), map(_grade, rows)))
+    if records:
         writer.writerow(["total", format_fraction(result.total, 2)])
         writer.writerow(["expected_result",
                          format_fraction(result.expected_result, EXPECTED_RESULT_PLACES)])
         writer.writerow(["remediation_order", plan.order])
-        for step in plan.steps:
-            writer.writerow(["remediation", step.node, degree(step.alpha)[1]])
+        writer.writerows(zip(repeat("remediation"), map(_node, steps), step_degrees))
     return buf.getvalue()
 
 
@@ -291,62 +301,41 @@ def _json_ids(ids: Sequence[str]) -> str:
     return _json_array(map(_encode, ids), " " * 8)
 
 
-def _render_json(result, graded, plan, degree) -> str:
-    regions = [
-        _JSON_REGION % (r.level, _json_ids(r.pos), _json_ids(r.neg), _json_ids(r.bnd))
-        for r in result.regions
-    ]
-    records = [
-        _JSON_RECORD % (_encode(rec.node), rec.level, rec.child_count, rec.overlap,
-                        *degree(rec.alpha))
-        for rec in result.records
-    ]
-    graded_rows = [
-        _JSON_GRADED % (_encode(g.node), g.expected_percent, g.actual_percent, _encode(g.grade))
-        for g in graded
-    ]
-    steps = [_JSON_STEP % (_encode(s.node), *degree(s.alpha)) for s in plan.steps]
+def _render_json(result, graded, plan) -> str:
+    regions, records, steps = result.regions, result.records, plan.steps
+    exact, step_exact, display, step_display = _degrees(result, plan, str, _display)
+    region_items = map(_JSON_REGION.__mod__, zip(
+        map(_level, regions), map(_json_ids, map(_pos, regions)),
+        map(_json_ids, map(_neg, regions)), map(_json_ids, map(_bnd, regions))))
+    record_items = map(_JSON_RECORD.__mod__, zip(
+        map(_encode, map(_node, records)), map(_level, records), map(_child_count, records),
+        map(_overlap, records), exact, display))
+    graded_items = map(_JSON_GRADED.__mod__, zip(
+        map(_encode, map(_node, graded)), map(_expected, graded), map(_actual, graded),
+        map(_encode, map(_grade, graded))))
+    step_items = map(_JSON_STEP.__mod__, zip(
+        map(_encode, map(_node, steps)), step_exact, step_display))
     return _JSON_REPORT % (
-        _json_array(regions, " " * 4),
-        _json_array(records, " " * 4),
+        _json_array(region_items, " " * 4),
+        _json_array(record_items, " " * 4),
         result.total,
         result.expected_result,
         format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
-        _json_array(graded_rows, " " * 4),
+        _json_array(graded_items, " " * 4),
         _encode(plan.order),
-        _json_array(steps, " " * 6),
+        _json_array(step_items, " " * 6),
     )
 
 
 def parse_report(text: str) -> tuple[AnalysisResult, tuple[GradedRecord, ...], RemediationPlan]:
     """Inverse of ``render_report(..., "json")``."""
     doc = json.loads(text)
-    regions = tuple(
-        LevelRegions(level=r["level"], pos=tuple(r["pos"]), neg=tuple(r["neg"]),
-                     bnd=tuple(r["bnd"]))
-        for r in doc["regions"]
-    )
-    records = tuple(
-        ImportanceRecord(
-            node=r["node"],
-            level=r["level"],
-            child_count=r["child_count"],
-            overlap=r["overlap"],
-            alpha=Fraction(r["alpha"]),
-        )
-        for r in doc["records"]
-    )
-    result = AnalysisResult(
-        regions=regions, records=records, expected_result=Fraction(doc["expected_result"])
-    )
-    graded = tuple(
-        GradedRecord(node=g["node"], expected_percent=g["expected_percent"],
-                     actual_percent=g["actual_percent"], grade=g["grade"])
-        for g in doc["graded"]
-    )
-    plan = RemediationPlan(
-        order=doc["plan"]["order"],
-        steps=tuple(PlanStep(node=s["node"], alpha=Fraction(s["alpha"]))
-                    for s in doc["plan"]["steps"]),
-    )
-    return result, graded, plan
+    regions = tuple(LevelRegions(r["level"], tuple(r["pos"]), tuple(r["neg"]), tuple(r["bnd"]))
+                    for r in doc["regions"])
+    records = tuple(ImportanceRecord(r["node"], r["level"], r["child_count"], r["overlap"],
+                                     Fraction(r["alpha"])) for r in doc["records"])
+    graded = tuple(GradedRecord(g["node"], g["expected_percent"], g["actual_percent"], g["grade"])
+                   for g in doc["graded"])
+    steps = tuple(PlanStep(s["node"], Fraction(s["alpha"])) for s in doc["plan"]["steps"])
+    return (AnalysisResult(regions, records, Fraction(doc["expected_result"])), graded,
+            RemediationPlan(doc["plan"]["order"], steps))

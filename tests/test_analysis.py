@@ -128,7 +128,7 @@ class TestAnalyze:
         for rec in result.records:
             by_level[rec.level + 1] = by_level.get(rec.level + 1, 0) + rec.child_count
         for level, total in by_level.items():
-            assert total == len(sample_integrated.by_level.get(level, ()))
+            assert total == sum(n.level == level for n in sample_integrated.nodes)
 
 
 def _recount(teacher_nodes, student_nodes):

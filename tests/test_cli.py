@@ -116,6 +116,41 @@ class TestHostileMapFiles:
         self._exits_2_with_one_line(utf16, capsys)
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark, as some editors and Excel's
+    "CSV UTF-8" export write, is skipped in map files and rosters."""
+
+    def test_map_files(self, tmp_path, capsys):
+        teacher, student = tmp_path / "teacher.json", tmp_path / "student.json"
+        teacher.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "teacher_map.json").read_bytes())
+        student.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "student_map.json").read_bytes())
+        assert main(["validate", str(teacher)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--teacher", str(teacher), "--student", str(student)]) == 0
+        with_bom = capsys.readouterr().out
+        assert main(["analyze", "--teacher", TEACHER, "--student", STUDENT]) == 0
+        assert with_bom == capsys.readouterr().out
+
+    def test_only_one_mark_is_skipped(self, tmp_path, capsys):
+        twice = tmp_path / "twice.json"
+        twice.write_bytes(b"\xef\xbb\xbf" * 2 + (DATA_DIR / "teacher_map.json").read_bytes())
+        assert main(["validate", str(twice)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {twice}: invalid JSON at line 1")
+
+    def test_roster(self, tmp_path):
+        rows = [("R1", "a", "d", "s", "sub", "student_map.json")]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_roster(plain, rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for roster in (plain, marked):
+            code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                         "--maps-dir", str(DATA_DIR), "--out-dir", str(tmp_path / roster.stem)])
+            assert code == 0
+        for name in ("R1.text", "cohort_summary.csv"):
+            assert ((tmp_path / "marked" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
+
 class TestBatchCommand:
     def test_two_identical_students(self, tmp_path):
         roster = tmp_path / "roster.csv"
