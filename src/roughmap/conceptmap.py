@@ -43,8 +43,9 @@ __all__ = [
 ]
 
 
-# zip(*nodes) would build one tuple iterator per node, and that garbage wakes
-# the cyclic collector; these read a column in C without it.
+# zip(*nodes) would build one tuple iterator per node, and a library caller's
+# cyclic collector counts that garbage (a run pauses it); these read a column
+# in C without it.
 _id, _parent, _level = attrgetter("id"), attrgetter("parent"), attrgetter("level")
 
 
@@ -106,8 +107,8 @@ class IntegratedMap:
         for n in self.nodes:
             if n.parent is not None:
                 kids[n.parent].append(n.id)
-        # Leaves share (): an empty list per node is garbage that wakes the
-        # cyclic collector.
+        # Leaves share (): an empty list per node is garbage, and outside a
+        # run it counts toward the cyclic collector's next pass.
         children = dict.fromkeys(map(_id, self.nodes), ())
         children.update((nid, tuple(ids)) for nid, ids in kids.items())
         return children

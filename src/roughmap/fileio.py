@@ -9,11 +9,17 @@ Rosters are CSV with header
 ``register_no,name,department,semester,subject,map_path``.  Both are UTF-8
 text; a leading byte order mark is skipped.  Exit statuses:
 0 success, 1 validation/analysis error, 2 I/O or parse error.
+
+A run pauses the cyclic garbage collector and restores its prior state on
+every exit.  The pipeline builds no reference cycles (tests/test_no_cycles.py
+checks this), so reference counting frees everything it drops and the
+collector's passes over the run's many objects would find nothing.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import sys
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from .analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, analyze
 from .conceptmap import ConceptMap, MapNode, from_columns, integrate, validate_map
@@ -43,7 +49,6 @@ from .grading import (
     remediation_sequence,
     render_report,
 )
-from .roughset import DecisionTable
 
 __all__ = [
     "RosterRecord",
@@ -52,9 +57,7 @@ __all__ = [
     "SUMMARY_FILENAME",
     "parse_concept_map",
     "parse_concept_map_file",
-    "serialize_concept_map",
     "parse_roster",
-    "load_decision_table_csv",
     "run_analyze",
 ]
 
@@ -161,17 +164,6 @@ def parse_concept_map_file(path: str | Path) -> ConceptMap:
     return parse_concept_map(text.removeprefix("\ufeff"), source=str(path))
 
 
-def serialize_concept_map(cmap: ConceptMap) -> str:
-    """Inverse of :func:`parse_concept_map` up to key order."""
-    nodes = []
-    for n in cmap.nodes:
-        entry: dict[str, object] = {"id": n.id, "parent": n.parent}
-        if n.phrase is not None:
-            entry["phrase"] = n.phrase
-        nodes.append(entry)
-    return json.dumps({"subject": cmap.subject, "nodes": nodes}, indent=2) + "\n"
-
-
 def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
     """Read a roster CSV; rows keep file order, register numbers must be unique."""
     path = Path(path)
@@ -222,29 +214,6 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
     return tuple(records)
 
 
-def load_decision_table_csv(
-    path: str | Path,
-    condition: Iterable[str] | None = None,
-    decision: Iterable[str] | None = None,
-) -> DecisionTable:
-    """Load a decision table from CSV: first column object ids, remaining
-    columns attribute values.  Defaults: all attributes but the last are
-    condition features, the last is the decision feature."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 2:
-        raise InputError(f"{path}: need a header with an object column and at least one attribute")
-    values: dict[str, list[str]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise InputError(f"{path}: line {lineno}: expected {len(rows[0])} cells, got {len(row)}")
-        if row[0] in values:
-            raise InputError(f"{path}: duplicate object id {row[0]!r}")
-        values[row[0]] = row[1:]
-    return DecisionTable.from_rows(values, rows[0][1:], condition, decision)
-
-
 def _student_report(
     teacher: ConceptMap, student: ConceptMap, config: RunConfig
 ) -> tuple[AnalysisResult, tuple[GradedRecord, ...], str]:
@@ -263,6 +232,8 @@ def run_analyze(config: RunConfig, stderr: TextIO | None = None) -> int:
     cohort summary.  Any error produces a one-line diagnostic on `stderr`.
     """
     err = stderr if stderr is not None else sys.stderr
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         _run(config)
     except ValidationError as exc:
@@ -271,6 +242,9 @@ def run_analyze(config: RunConfig, stderr: TextIO | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

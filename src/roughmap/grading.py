@@ -297,16 +297,24 @@ def _json_array(items: Iterable[str], indent: str) -> str:
     return f"[\n{indent}{joined}\n{indent[2:]}]" if joined else "[]"
 
 
-def _json_ids(ids: Sequence[str]) -> str:
-    return _json_array(map(_encode, ids), " " * 8)
+_IDS_SEP, _EMPTY_IDS = ",\n        ", {0: "[]"}
+_IDS_ARRAY = "[\n        %s\n      ]".__mod__
+
+
+def _json_id_arrays(columns: Iterable[Sequence[str]]) -> Iterable[str]:
+    """`_json_array` of each id tuple of a region column, built by C-level
+    passes over the whole column; empty tuples are told apart by length."""
+    columns = list(columns)
+    arrays = map(_IDS_ARRAY, map(_IDS_SEP.join, map(map, repeat(_encode), columns)))
+    return map(_EMPTY_IDS.get, map(len, columns), arrays)
 
 
 def _render_json(result, graded, plan) -> str:
     regions, records, steps = result.regions, result.records, plan.steps
     exact, step_exact, display, step_display = _degrees(result, plan, str, _display)
     region_items = map(_JSON_REGION.__mod__, zip(
-        map(_level, regions), map(_json_ids, map(_pos, regions)),
-        map(_json_ids, map(_neg, regions)), map(_json_ids, map(_bnd, regions))))
+        map(_level, regions), _json_id_arrays(map(_pos, regions)),
+        _json_id_arrays(map(_neg, regions)), _json_id_arrays(map(_bnd, regions))))
     record_items = map(_JSON_RECORD.__mod__, zip(
         map(_encode, map(_node, records)), map(_level, records), map(_child_count, records),
         map(_overlap, records), exact, display))

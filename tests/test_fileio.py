@@ -1,27 +1,21 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
 
-import strategies
 from conftest import DATA_DIR
 from roughmap.conceptmap import compute_levels
 from roughmap.errors import (
     DuplicateNodeError,
     DuplicateRegisterError,
-    InputError,
     MapFileParseError,
     RosterSchemaError,
 )
 from roughmap.fileio import (
     RunConfig,
-    load_decision_table_csv,
     parse_concept_map,
     parse_concept_map_file,
     parse_roster,
-    serialize_concept_map,
 )
-from roughmap.roughset import indiscernibility
 
 
 class TestParseConceptMap:
@@ -69,18 +63,6 @@ class TestParseConceptMap:
             parse_concept_map_file(tmp_path / "absent.json")
 
 
-class TestSerializeRoundTrip:
-    def test_sample_fixture(self, teacher_map):
-        back = parse_concept_map(serialize_concept_map(teacher_map))
-        assert back == teacher_map
-
-    @given(cmap=strategies.concept_maps())
-    def test_random_trees(self, cmap):
-        back = parse_concept_map(serialize_concept_map(cmap))
-        assert [(n.id, n.parent) for n in back.nodes] == [(n.id, n.parent) for n in cmap.nodes]
-        assert back.subject == cmap.subject
-
-
 class TestParseRoster:
     def test_sample_roster(self):
         records = parse_roster(DATA_DIR / "roster.csv")
@@ -115,31 +97,6 @@ class TestParseRoster:
         )
         with pytest.raises(RosterSchemaError, match="line 2"):
             parse_roster(path)
-
-
-class TestDecisionTableCsv:
-    def test_defaults(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("object,color,size,label\no1,red,small,yes\no2,red,big,no\n")
-        table = load_decision_table_csv(path)
-        assert table.attributes == ("color", "size", "label")
-        assert table.condition == {"color", "size"}
-        assert table.decision == {"label"}
-        assert table.values[("o2", "size")] == "big"
-        part = indiscernibility(table, {"color"})
-        assert part.blocks == (("o1", "o2"),)
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("object,a\no1,1\no2\n")
-        with pytest.raises(InputError, match="line 3"):
-            load_decision_table_csv(path)
-
-    def test_duplicate_object_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("object,a\no1,1\no1,2\n")
-        with pytest.raises(InputError, match="o1"):
-            load_decision_table_csv(path)
 
 
 class TestRunConfig:
