@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import attrgetter, floordiv, mul, sub
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .conceptmap import IntegratedMap, NodeColor, from_columns
 from .errors import NothingToAnalyzeError
@@ -123,33 +123,20 @@ def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
                         map(tuple, neg[deepest_first]), map(tuple, bnd[deepest_first]))
 
 
-def analyze(imap: IntegratedMap, levels: str | Iterable[int] = DEEPEST_ONLY) -> AnalysisResult:
+def analyze(imap: IntegratedMap, levels: str = DEEPEST_ONLY) -> AnalysisResult:
     """Compute regions plus one importance record per processed boundary node.
 
-    `levels` selects which boundary sets are processed, each identified by
-    the level of the nodes it is the parent set of: ``"deepest"`` (default)
-    processes only the deepest level's boundary set, ``"all"`` processes
-    every level from the deepest up to 1, and an explicit iterable of levels
-    processes exactly those.  The expected result is the mean of the
-    records' truncated alphas.
+    `levels` is ``"deepest"`` (default), which processes only the deepest
+    level's boundary set, or ``"all"``, which processes every level's.  The
+    expected result is the mean of the records' truncated alphas.
     """
     all_regions = level_regions(imap)
-    if isinstance(levels, str):
-        if levels == DEEPEST_ONLY:
-            chosen = all_regions[:1]
-        elif levels == ALL_LEVELS:
-            chosen = all_regions
-        else:
-            raise ValueError(f"levels must be 'deepest', 'all', or an iterable of ints, got {levels!r}")
+    if levels == DEEPEST_ONLY:
+        chosen = all_regions[:1]
+    elif levels == ALL_LEVELS:
+        chosen = all_regions
     else:
-        by_level = {r.level: r for r in all_regions}
-        selected = sorted(set(levels), reverse=True)
-        unknown = [lvl for lvl in selected if lvl not in by_level]
-        if unknown:
-            raise ValueError(f"no such level(s): {unknown}")
-        if not selected:
-            raise ValueError("no levels selected")
-        chosen = [by_level[level] for level in selected]
+        raise ValueError(f"levels must be 'deepest' or 'all', got {levels!r}")
     nodes = list(chain.from_iterable(map(_bnd, chosen)))
     node_levels = chain.from_iterable(map(repeat, map(sub, map(_level, chosen), repeat(1)),
                                           map(len, map(_bnd, chosen))))

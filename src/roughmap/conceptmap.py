@@ -38,7 +38,6 @@ __all__ = [
     "IntegratedNode",
     "IntegratedMap",
     "validate_map",
-    "compute_levels",
     "integrate",
 ]
 
@@ -176,14 +175,6 @@ def _walk_depths(parent_of: Mapping[str, str | None], depth: dict) -> list[str] 
     return cycle
 
 
-def _levels(ids: tuple, parents: tuple) -> dict[str, int]:
-    """Depth of every node reachable from the last root listed."""
-    root = [nid for nid, parent in zip(ids, parents) if parent is None][-1]
-    levels = {root: 0}
-    _walk_depths(dict(zip(ids, parents)), levels)
-    return levels
-
-
 def validate_map(nodes: Iterable, subject: str = "untitled") -> ConceptMap:
     """Check the rooted-tree invariants and return a validated map.
 
@@ -222,11 +213,6 @@ def validate_map(nodes: Iterable, subject: str = "untitled") -> ConceptMap:
     return ConceptMap(subject=subject, nodes=nodes)
 
 
-def compute_levels(cmap: ConceptMap) -> dict[str, int]:
-    """Depth of every node: root 0, each child one below its parent."""
-    return _levels(tuple(map(_id, cmap.nodes)), tuple(map(_parent, cmap.nodes)))
-
-
 def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     """Merge the two maps into one colored tree.
 
@@ -251,7 +237,10 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     if orphans:
         nid, parent = next((n, p) for n, p in zip(merged_ids, merged_parents) if p in orphans)
         raise OrphanNodeError(f"node {nid!r} has parent {parent!r} present in neither map")
-    levels = _levels(merged_ids, merged_parents)
+    # Depths from the last root listed; a hand-built map may list several.
+    root = [nid for nid, parent in zip(merged_ids, merged_parents) if parent is None][-1]
+    levels = {root: 0}
+    _walk_depths(dict(zip(merged_ids, merged_parents)), levels)
     if len(levels) != len(merged_ids):
         unreachable = [nid for nid in merged_ids if nid not in levels]
         raise CycleError(f"nodes unreachable from the root: {unreachable}")

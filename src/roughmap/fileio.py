@@ -259,10 +259,16 @@ def _run(config: RunConfig) -> None:
             sys.stdout.write(report)
         return
     roster = parse_roster(config.roster_path)
+    report_names = [f"{rec.register_no}.{config.report_format}" for rec in roster]
+    if SUMMARY_FILENAME in report_names:
+        clash = roster[report_names.index(SUMMARY_FILENAME)].register_no
+        raise RosterSchemaError(
+            f"{config.roster_path}: register_no {clash!r} would overwrite {SUMMARY_FILENAME}"
+        )
     out_dir = Path(config.out_dir) if config.out_dir is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows: list[tuple[str, str, str]] = []
-    for rec in roster:
+    for rec, report_name in zip(roster, report_names):
         map_path = Path(rec.map_path)
         if config.maps_dir is not None and not map_path.is_absolute():
             map_path = Path(config.maps_dir) / map_path
@@ -273,8 +279,7 @@ def _run(config: RunConfig) -> None:
             result, graded, report = _student_report(teacher, student, config)
         except ValidationError as exc:
             raise ValidationError(f"student {rec.register_no} ({map_path}): {exc}") from exc
-        out_file = out_dir / f"{rec.register_no}.{config.report_format}"
-        out_file.write_text(report, encoding="utf-8")
+        (out_dir / report_name).write_text(report, encoding="utf-8")
         summary_rows.append(
             (
                 rec.register_no,

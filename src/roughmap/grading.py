@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from operator import add, attrgetter, floordiv, lt, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .analysis import AnalysisResult, ImportanceRecord, LevelRegions
+from .analysis import TRUNCATION_PLACES, AnalysisResult, ImportanceRecord, LevelRegions
 from .conceptmap import from_columns
 from .errors import PercentRangeError, ReportFormatError
 
@@ -162,7 +162,7 @@ def render_report(
     raise ReportFormatError(f"unknown report format: {report_format!r}")
 
 
-_display = partial(format_fraction, places=2)
+_display = partial(format_fraction, places=TRUNCATION_PLACES)
 
 
 def _degrees(result: AnalysisResult, plan: RemediationPlan, *forms) -> list[list[str]]:
@@ -211,7 +211,7 @@ def _render_text(result, graded, plan) -> str:
     )
     if records:
         lines.append(
-            f"total = {format_fraction(result.total, 2)}"
+            f"total = {_display(result.total)}"
             f"   records = {len(records)}"
             f"   expected result = {format_fraction(result.expected_result, EXPECTED_RESULT_PLACES)}"
         )
@@ -240,7 +240,7 @@ def _render_csv(result, graded, plan) -> str:
                          map(_child_count, records), map(_overlap, records), degrees,
                          map(_expected, rows), map(_actual, rows), map(_grade, rows)))
     if records:
-        writer.writerow(["total", format_fraction(result.total, 2)])
+        writer.writerow(["total", _display(result.total)])
         writer.writerow(["expected_result",
                          format_fraction(result.expected_result, EXPECTED_RESULT_PLACES)])
         writer.writerow(["remediation_order", plan.order])

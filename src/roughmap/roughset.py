@@ -20,7 +20,6 @@ __all__ = [
     "Universe",
     "Partition",
     "ApproximationSpace",
-    "RoughSet",
     "DecisionTable",
     "Regions",
     "lower_approximation",
@@ -29,7 +28,6 @@ __all__ = [
     "regions",
     "rough_membership",
     "is_exact",
-    "rough_set",
     "indiscernibility",
 ]
 
@@ -63,12 +61,6 @@ class Universe:
     def __iter__(self):
         return iter(self.elements)
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, element: object) -> bool:
-        return element in self.element_set
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -92,12 +84,6 @@ class Partition:
     @cached_property
     def element_set(self) -> frozenset[str]:
         return frozenset(chain.from_iterable(self.blocks))
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -129,20 +115,6 @@ class ApproximationSpace:
         space = object.__new__(cls)
         space.__dict__.update(universe=universe, partition=partition)
         return space
-
-
-@dataclass(frozen=True)
-class RoughSet:
-    """Lower/upper approximation pair of some subset."""
-
-    lower: ElementSet
-    upper: ElementSet
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lower", tuple(self.lower))
-        object.__setattr__(self, "upper", tuple(self.upper))
-        if not set(self.lower) <= set(self.upper):
-            raise ValueError("lower approximation must be contained in the upper")
 
 
 @dataclass(frozen=True)
@@ -270,11 +242,6 @@ def boundary(space: ApproximationSpace, a: Iterable[str]) -> ElementSet:
 def is_exact(space: ApproximationSpace, a: Iterable[str]) -> bool:
     """True iff the boundary of `a` is empty (lower equals upper)."""
     return not regions(space, a).bnd
-
-
-def rough_set(space: ApproximationSpace, a: Iterable[str]) -> RoughSet:
-    """The (lower, upper) approximation pair of `a`."""
-    return RoughSet(lower_approximation(space, a), upper_approximation(space, a))
 
 
 def indiscernibility(table: DecisionTable, p: Iterable[str]) -> Partition:

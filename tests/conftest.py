@@ -38,6 +38,11 @@ GREEN_LEAVES = {"C2", "C3", "C5", "C7", "C8", "C9", "C12"}
 RED_LEAVES = {"C1", "C4", "C6", "C10", "C11", "C13", "C14"}
 
 
+def levels_of(cmap: ConceptMap) -> dict[str, int]:
+    """Each node's level in the map integrated with itself."""
+    return {n.id: n.level for n in integrate(cmap, cmap).nodes}
+
+
 @pytest.fixture(scope="session")
 def teacher_map() -> ConceptMap:
     return parse_concept_map_file(DATA_DIR / "teacher_map.json")

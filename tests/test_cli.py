@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT
 from roughmap.cli import main
 from roughmap.grading import parse_report
 
@@ -198,25 +198,42 @@ class TestBatchCommand:
         err = capsys.readouterr().err
         assert "R9" in err and "nowhere.json" in err
 
-    @pytest.mark.parametrize("register_no", [
-        "../escaped", "a/b", "a\\b", ".", "..", "CSE\n01",
-        pytest.param("CSE\x0001", marks=pytest.mark.skipif(
+    @pytest.mark.parametrize("register_no,report_format", [
+        *((name, "text") for name in ("../escaped", "a/b", "a\\b", ".", "..", "CSE\n01")),
+        pytest.param("CSE\x0001", "text", marks=pytest.mark.skipif(
             sys.version_info < (3, 11),
             reason="before 3.11 the csv module rejects NUL itself (see test_unreadable_roster)")),
-    ])
-    def test_unsafe_register_no_rejected(self, tmp_path, capsys, register_no):
+        # Its csv report would be overwritten by the cohort summary.
+        ("cohort_summary", "csv"),
+    ], ids=["../escaped", "a/b", "a\\b", ".", "..", "CSE\n01", "CSE\x0001", "cohort_summary-csv"])
+    def test_unsafe_register_no_rejected(self, tmp_path, capsys, register_no, report_format):
         roster = tmp_path / "roster.csv"
         write_roster(roster, [("R1", "a", "d", "s", "sub", "student_map.json"),
                               (register_no, "b", "d", "s", "sub", "student_map.json")])
         out_dir = tmp_path / "out"
         before = set(tmp_path.rglob("*"))
         code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
-                     "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir)])
+                     "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir),
+                     "--format", report_format])
         assert code == 2
         err = capsys.readouterr().err
         assert f"register_no {register_no!r}" in err and err.count("\n") == 1
         written = set(tmp_path.rglob("*")) - before
         assert all(out_dir in (p, *p.parents) for p in written)
+        assert not out_dir.exists()
+
+    def test_summary_named_register_no_in_another_format(self, tmp_path):
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("cohort_summary", "a", "d", "s", "sub", "student_map.json")])
+        out_dir = tmp_path / "out"
+        code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                     "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir), "--format", "text"])
+        assert code == 0
+        golden = (REPO_ROOT / "tests" / "golden" / "sample_report.txt").read_bytes()
+        assert (out_dir / "cohort_summary.text").read_bytes() == golden
+        summary = (out_dir / "cohort_summary.csv").read_text(encoding="utf-8").splitlines()
+        assert summary == ["register_no,expected_result,grades",
+                           "cohort_summary,0.548,U1=B;U2=C;U3=A;U4=B;U5=C"]
 
     @pytest.mark.parametrize("content,detail", [
         (b"register_no,name,department,semester,subject,map_path\nR\xff1,a,d,s,sub,m.json\n",

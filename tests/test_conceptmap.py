@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import GREEN_LEAVES, RED_LEAVES, STUDENT_NODES, TEACHER_NODES
+from conftest import GREEN_LEAVES, RED_LEAVES, STUDENT_NODES, TEACHER_NODES, levels_of
 from roughmap.conceptmap import (
     ConceptMap,
     MapNode,
     NodeColor,
-    compute_levels,
     integrate,
     validate_map,
 )
@@ -60,18 +59,18 @@ class TestValidateMap:
 
 class TestComputeLevels:
     def test_sample_fixture(self, teacher_map):
-        levels = compute_levels(teacher_map)
+        levels = levels_of(teacher_map)
         assert levels["S1"] == 0
         assert all(levels[u] == 1 for u in ("U1", "U2", "U3", "U4", "U5"))
         assert all(levels[f"C{i}"] == 2 for i in range(1, 15))
         assert max(levels.values()) == 2
 
     def test_single_node(self):
-        assert compute_levels(validate_map([("S1", None)])) == {"S1": 0}
+        assert levels_of(validate_map([("S1", None)])) == {"S1": 0}
 
     def test_chain(self):
         cmap = validate_map([("a", None), ("b", "a"), ("c", "b"), ("d", "c")])
-        assert compute_levels(cmap) == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert levels_of(cmap) == {"a": 0, "b": 1, "c": 2, "d": 3}
 
 
 class TestIntegrate:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import DATA_DIR
-from roughmap.conceptmap import compute_levels
+from roughmap.conceptmap import integrate
 from roughmap.errors import (
     DuplicateNodeError,
     DuplicateRegisterError,
@@ -26,7 +26,7 @@ class TestParseConceptMap:
 
     def test_sample_file(self, teacher_map):
         assert len(teacher_map.nodes) == 20
-        assert max(compute_levels(teacher_map).values()) == 2
+        assert integrate(teacher_map, teacher_map).max_level == 2
         assert teacher_map.by_id["U1"].phrase == "includes"
 
     def test_duplicate_id_named(self, tmp_path):

@@ -14,13 +14,13 @@ from collections import deque
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
+from conftest import levels_of
 from roughmap.conceptmap import (
     ConceptMap,
     MapNode,
     NodeColor,
-    compute_levels,
     integrate,
     validate_map,
 )
@@ -254,7 +254,7 @@ class TestAgainstReference:
 
         def parse(text):
             cmap = parse_concept_map(text)
-            return cmap.subject, tuple(cmap.nodes), compute_levels(cmap)
+            return cmap.subject, tuple(cmap.nodes), levels_of(cmap)
 
         assert outcome(parse, text) == outcome(reference_parse, text)
 
@@ -263,17 +263,9 @@ class TestAgainstReference:
     def test_validate(self, nodes):
         def validate(nodes):
             cmap = validate_map(nodes)
-            return tuple(cmap.nodes), compute_levels(cmap)
+            return tuple(cmap.nodes), levels_of(cmap)
 
         assert outcome(validate, nodes) == outcome(reference_validate, nodes)
-
-    @settings(max_examples=400, deadline=None)
-    @given(node_lists())
-    def test_levels_of_a_map_built_by_hand(self, nodes):
-        ids = [nid for nid, _ in nodes]
-        assume(len(set(ids)) == len(ids) and None in dict(nodes).values())
-        cmap = ConceptMap(subject="s", nodes=tuple(MapNode(*n) for n in nodes))
-        assert compute_levels(cmap) == reference_levels(nodes)
 
     @settings(max_examples=400, deadline=None)
     @given(map_pairs(), st.booleans(), st.booleans())

@@ -13,14 +13,12 @@ from roughmap.roughset import (
     ApproximationSpace,
     DecisionTable,
     Partition,
-    RoughSet,
     Universe,
     boundary,
     indiscernibility,
     is_exact,
     lower_approximation,
     regions,
-    rough_set,
     upper_approximation,
 )
 
@@ -133,7 +131,8 @@ class TestIsExact:
         # frozen from the oracle: lower {x3}, upper {x1, x2, x3}
         space = ApproximationSpace.from_blocks([("x1", "x2"), ("x3",)])
         assert not is_exact(space, {"x1", "x3"})
-        assert rough_set(space, {"x1", "x3"}) == RoughSet(("x3",), ("x1", "x2", "x3"))
+        assert lower_approximation(space, {"x1", "x3"}) == ("x3",)
+        assert upper_approximation(space, {"x1", "x3"}) == ("x1", "x2", "x3")
 
 
 class TestOrdering:
@@ -224,10 +223,6 @@ class TestContainers:
             ApproximationSpace(Universe(("a", "b")), Partition((("a",),)))
         with pytest.raises(ValueError, match="exceeds"):
             ApproximationSpace(Universe(("a",)), Partition((("a", "b"),)))
-
-    def test_rough_set_requires_containment(self):
-        with pytest.raises(ValueError):
-            RoughSet(lower=("a", "b"), upper=("a",))
 
     def test_decision_table_requires_total_values(self):
         with pytest.raises(ValueError, match="missing value"):
