@@ -115,7 +115,7 @@ def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
     green = NodeColor.GREEN
     pos, neg = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
     bnd: list[dict] = [{} for _ in range(top + 1)]
-    for nid, parent, level, color in imap.nodes:
+    for nid, parent, level, color in zip(imap.ids, imap.parents, imap.levels, imap.colors):
         (pos if color is green else neg)[level].append(nid)
         bnd[level][parent] = None
     deepest_first = slice(top, 0, -1)

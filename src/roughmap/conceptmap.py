@@ -6,19 +6,22 @@ non-root nodes are colored green (the student has the concept in the right
 place) or red (the concept is missing from, or misplaced in, the student's
 map).
 
-A map is handled as columns of ids and parents: nodes are named tuples built
-in bulk, checks are set operations, and a per-node loop runs only to name an
-offender.  Levels come from one memoised walk up the parent links, which
-validation also runs to find cycles.
+Maps are held as columns (ids, parents, and phrases or levels and colors):
+checks are set operations, and a per-node loop runs only to name an
+offender.  One memoised walk up the parent links finds cycles and gives each
+node's depth; a validated map carries its `parent_of` dict and those depths,
+so integration walks only the student-only nodes.  The `nodes` rows are
+named tuples built in bulk on first read, so a CLI run builds none.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import filterfalse, repeat
+from itertools import filterfalse, repeat, starmap
 from operator import attrgetter, eq
 from typing import Iterable, Mapping, NamedTuple
 
@@ -42,12 +45,6 @@ __all__ = [
 ]
 
 
-# zip(*nodes) would build one tuple iterator per node, and a library caller's
-# cyclic collector counts that garbage (a run pauses it); these read a column
-# in C without it.
-_id, _parent, _level = attrgetter("id"), attrgetter("parent"), attrgetter("level")
-
-
 class NodeColor(Enum):
     GREEN = "green"
     RED = "red"
@@ -62,16 +59,36 @@ class MapNode(NamedTuple):
     phrase: str | None = None
 
 
-@dataclass(frozen=True)
 class ConceptMap:
-    """Rooted tree of concept nodes.
+    """Rooted tree of concept nodes, as `ids`, `parents` and `phrases` columns.
 
-    Instances should come from :func:`validate_map` or the file parser; the
-    dataclass itself does not re-check the tree invariants.
+    A map from :func:`validate_map` or the file parser also carries `depth`
+    (node -> depth) from validation, and builds its `nodes` on first read.
+    One built by hand, ``ConceptMap(subject=..., nodes=...)``, is not checked
+    and its `depth` is None.
     """
 
-    subject: str
-    nodes: tuple[MapNode, ...]
+    depth: dict[str, int] | None = None
+
+    def __init__(self, subject: str, nodes: Iterable[MapNode]) -> None:
+        self.nodes = tuple(nodes)
+        self.subject, self.ids, self.parents, self.phrases = subject, *(
+            tuple(map(attrgetter(field), self.nodes)) for field in MapNode._fields)
+
+    @classmethod
+    def of_columns(cls, subject: str, ids: tuple, parents: tuple, phrases: tuple) -> ConceptMap:
+        """An unchecked map of three equal-length columns."""
+        cmap = cls.__new__(cls)
+        cmap.subject, cmap.ids, cmap.parents, cmap.phrases = subject, ids, parents, phrases
+        return cmap
+
+    @cached_property
+    def nodes(self) -> tuple[MapNode, ...]:
+        return from_columns(MapNode, self.ids, self.parents, self.phrases)
+
+    @cached_property
+    def parent_of(self) -> dict[str, str | None]:
+        return dict(zip(self.ids, self.parents))
 
     @cached_property
     def by_id(self) -> dict[str, MapNode]:
@@ -79,7 +96,7 @@ class ConceptMap:
 
     @cached_property
     def root(self) -> MapNode:
-        return next(n for n in self.nodes if n.parent is None)
+        return self.nodes[self.parents.index(None)]
 
 
 class IntegratedNode(NamedTuple):
@@ -91,10 +108,18 @@ class IntegratedNode(NamedTuple):
 
 @dataclass(frozen=True)
 class IntegratedMap:
-    """Colored merge of a teacher map and a student map, levels recomputed."""
+    """Colored merge of a teacher map and a student map, levels recomputed;
+    node i is ``IntegratedNode(ids[i], parents[i], levels[i], colors[i])``."""
 
     subject: str
-    nodes: tuple[IntegratedNode, ...]
+    ids: tuple[str, ...]
+    parents: tuple[str | None, ...]
+    levels: tuple[int, ...]
+    colors: tuple[NodeColor | None, ...]
+
+    @cached_property
+    def nodes(self) -> tuple[IntegratedNode, ...]:
+        return from_columns(IntegratedNode, self.ids, self.parents, self.levels, self.colors)
 
     @cached_property
     def by_id(self) -> dict[str, IntegratedNode]:
@@ -103,34 +128,24 @@ class IntegratedMap:
     @cached_property
     def children_of(self) -> dict[str, tuple[str, ...]]:
         kids: defaultdict[str, list[str]] = defaultdict(list)
-        for n in self.nodes:
-            if n.parent is not None:
-                kids[n.parent].append(n.id)
+        for nid, parent in zip(self.ids, self.parents):
+            if parent is not None:
+                kids[parent].append(nid)
         # Leaves share (): an empty list per node is garbage, and outside a
         # run it counts toward the cyclic collector's next pass.
-        children = dict.fromkeys(map(_id, self.nodes), ())
+        children = dict.fromkeys(self.ids, ())
         children.update((nid, tuple(ids)) for nid, ids in kids.items())
         return children
 
     @cached_property
     def max_level(self) -> int:
-        return max(map(_level, self.nodes))
+        return max(self.levels)
 
 
 def from_columns(cls, *columns) -> tuple:
     """One `cls` named tuple per row of `columns`.  ``tuple.__new__`` builds
     each row in C; calling the class or `cls._make` runs Python code per row."""
     return tuple(map(tuple.__new__, repeat(cls), zip(*columns)))
-
-
-def _as_node(raw) -> MapNode:
-    if isinstance(raw, MapNode):
-        return raw
-    if len(raw) == 2:
-        nid, parent = raw
-        return MapNode(id=nid, parent=parent)
-    nid, parent, phrase = raw
-    return MapNode(id=nid, parent=parent, phrase=phrase)
 
 
 def _walk_depths(parent_of: Mapping[str, str | None], depth: dict) -> list[str] | None:
@@ -175,20 +190,18 @@ def _walk_depths(parent_of: Mapping[str, str | None], depth: dict) -> list[str] 
     return cycle
 
 
-def validate_map(nodes: Iterable, subject: str = "untitled") -> ConceptMap:
+def validate_map(nodes: Iterable | ConceptMap, subject: str = "untitled") -> ConceptMap:
     """Check the rooted-tree invariants and return a validated map.
 
-    Accepts MapNode instances or (id, parent) / (id, parent, phrase) tuples.
-    Raises DuplicateNodeError, UnknownParentError, CycleError, or
-    RootCountError.
+    Accepts MapNode instances, (id, parent) / (id, parent, phrase) tuples, or
+    an unchecked ConceptMap (the file parser's columns), whose copy keeps its
+    subject and gains `depth`.  Raises DuplicateNodeError,
+    UnknownParentError, CycleError, or RootCountError.
     """
-    nodes = tuple(nodes)
-    if set(map(type, nodes)) != {MapNode}:
-        nodes = tuple(map(_as_node, nodes))
-    if not nodes:
+    cmap = copy(nodes) if isinstance(nodes, ConceptMap) else ConceptMap(subject, starmap(MapNode, nodes))
+    ids, parents, parent_of = cmap.ids, cmap.parents, cmap.parent_of
+    if not ids:
         raise RootCountError("map has no nodes")
-    ids, parents = tuple(map(_id, nodes)), tuple(map(_parent, nodes))
-    parent_of = dict(zip(ids, parents))
     if len(parent_of) != len(ids):
         seen: set[str] = set()
         for nid in ids:
@@ -201,7 +214,8 @@ def validate_map(nodes: Iterable, subject: str = "untitled") -> ConceptMap:
         raise UnknownParentError(f"node {nid!r} references unknown parent {parent!r}")
     # Cycles are checked before the root count: a rootless input such as
     # {A->B, B->A} is better reported as the cycle it actually contains.
-    cycle = _walk_depths(parent_of, {None: -1})
+    depth = {None: -1}
+    cycle = _walk_depths(parent_of, depth)
     if cycle is not None:
         raise CycleError("cycle among nodes: " + " -> ".join(cycle))
     root_count = parents.count(None)
@@ -210,7 +224,9 @@ def validate_map(nodes: Iterable, subject: str = "untitled") -> ConceptMap:
     if root_count > 1:
         roots = [nid for nid, parent in zip(ids, parents) if parent is None]
         raise RootCountError(f"multiple root nodes: {roots}")
-    return ConceptMap(subject=subject, nodes=nodes)
+    del depth[None]
+    cmap.depth = depth
+    return cmap
 
 
 def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
@@ -222,25 +238,29 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     nodes attach under their declared parent and are green.  Levels are
     recomputed on the merged tree.
     """
-    if teacher.root.id != student.root.id:
-        raise RootMismatchError(
-            f"root ids differ: teacher {teacher.root.id!r}, student {student.root.id!r}"
-        )
-    ids, parents = tuple(map(_id, teacher.nodes)), tuple(map(_parent, teacher.nodes))
-    student_ids = tuple(map(_id, student.nodes))
-    student_parent = dict(zip(student_ids, map(_parent, student.nodes)))
-    teacher_ids = set(ids)
-    extra_ids = tuple(filterfalse(teacher_ids.__contains__, student_ids))
+    ids, parents = teacher.ids, teacher.parents
+    student_parent = student.parent_of
+    root, student_root = ids[parents.index(None)], student.ids[student.parents.index(None)]
+    if root != student_root:
+        raise RootMismatchError(f"root ids differ: teacher {root!r}, student {student_root!r}")
+    extra_ids = tuple(filterfalse(teacher.parent_of.__contains__, student.ids))
     extra_parents = tuple(map(student_parent.__getitem__, extra_ids))
     merged_ids, merged_parents = ids + extra_ids, parents + extra_parents
-    orphans = set(merged_parents).difference(teacher_ids, student_parent, (None,))
+    orphans = set(merged_parents).difference(teacher.parent_of, student_parent, (None,))
     if orphans:
         nid, parent = next((n, p) for n, p in zip(merged_ids, merged_parents) if p in orphans)
         raise OrphanNodeError(f"node {nid!r} has parent {parent!r} present in neither map")
-    # Depths from the last root listed; a hand-built map may list several.
-    root = [nid for nid, parent in zip(merged_ids, merged_parents) if parent is None][-1]
-    levels = {root: 0}
-    _walk_depths(dict(zip(merged_ids, merged_parents)), levels)
+    if teacher.depth is not None and student.depth is not None:
+        # Two validated trees with one root: teacher nodes keep their depths,
+        # and a student-only node climbs to a teacher node without a cycle.
+        levels = dict(teacher.depth)
+        _walk_depths(dict(zip(extra_ids, extra_parents)), levels)
+    else:
+        # A map built by hand may hold cycles, unknown parents or several
+        # roots: walk the whole merged tree from the last root listed.
+        root = [nid for nid, parent in zip(merged_ids, merged_parents) if parent is None][-1]
+        levels = {root: 0}
+        _walk_depths(dict(zip(merged_ids, merged_parents)), levels)
     if len(levels) != len(merged_ids):
         unreachable = [nid for nid in merged_ids if nid not in levels]
         raise CycleError(f"nodes unreachable from the root: {unreachable}")
@@ -248,8 +268,5 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
                       map(eq, map(student_parent.get, ids), parents)))
     colors[parents.index(None)] = None
     colors.extend(repeat(NodeColor.GREEN, len(extra_ids)))
-    return IntegratedMap(
-        subject=teacher.subject,
-        nodes=from_columns(IntegratedNode, merged_ids, merged_parents,
-                           map(levels.__getitem__, merged_ids), colors),
-    )
+    return IntegratedMap(teacher.subject, merged_ids, merged_parents,
+                         tuple(map(levels.__getitem__, merged_ids)), tuple(colors))

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, analyze
-from .conceptmap import ConceptMap, MapNode, from_columns, integrate, validate_map
+from .conceptmap import ConceptMap, integrate, validate_map
 from .errors import (
     DuplicateRegisterError,
     InputError,
@@ -104,21 +104,21 @@ _ID, _PARENT = itemgetter("id"), itemgetter("parent")
 _OPTIONAL_STR = {str, type(None)}
 
 
-def _map_nodes(entries: list, source: str) -> tuple[MapNode, ...]:
-    """The nodes of a map's entries.  Their id, parent and phrase columns are
-    read in bulk and type-checked as sets; only entries failing that are
-    checked one by one, to name the first malformed entry."""
+def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
+    """The id, parent and phrase columns of a map's entries.  They are read
+    in bulk and type-checked as sets; only entries failing that are checked
+    one by one, to name the first malformed entry."""
     if set(map(type, entries)) <= {dict}:
         try:
-            ids, parents = list(map(_ID, entries)), list(map(_PARENT, entries))
+            ids, parents = tuple(map(_ID, entries)), tuple(map(_PARENT, entries))
         except KeyError:
             pass
         else:
-            phrases = list(map(dict.get, entries, repeat("phrase")))
+            phrases = tuple(map(dict.get, entries, repeat("phrase")))
             if (set(map(type, ids)) <= {str}
                     and set(map(type, parents)) | set(map(type, phrases)) <= _OPTIONAL_STR):
-                return from_columns(MapNode, ids, parents, phrases)
-    nodes: list[MapNode] = []
+                return ids, parents, phrases
+    # Some entry failed a bulk check, so this loop raises.
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "parent" not in entry:
             raise MapFileParseError(f"{source}: nodes[{i}] must be an object with 'id' and 'parent'")
@@ -129,8 +129,6 @@ def _map_nodes(entries: list, source: str) -> tuple[MapNode, ...]:
             raise MapFileParseError(f"{source}: nodes[{i}].parent must be a string or null")
         if phrase is not None and not isinstance(phrase, str):
             raise MapFileParseError(f"{source}: nodes[{i}].phrase must be a string")
-        nodes.append(MapNode(nid, parent, phrase))
-    return tuple(nodes)
 
 
 def parse_concept_map(text: str | bytes, source: str = "<string>") -> ConceptMap:
@@ -152,7 +150,7 @@ def parse_concept_map(text: str | bytes, source: str = "<string>") -> ConceptMap
     subject = doc.get("subject", "untitled")
     if not isinstance(subject, str):
         raise MapFileParseError(f"{source}: 'subject' must be a string")
-    return validate_map(_map_nodes(doc["nodes"], source), subject=subject)
+    return validate_map(ConceptMap.of_columns(subject, *_map_columns(doc["nodes"], source)))
 
 
 def parse_concept_map_file(path: str | Path) -> ConceptMap:
@@ -260,18 +258,22 @@ def _run(config: RunConfig) -> None:
         return
     roster = parse_roster(config.roster_path)
     report_names = [f"{rec.register_no}.{config.report_format}" for rec in roster]
-    if SUMMARY_FILENAME in report_names:
-        clash = roster[report_names.index(SUMMARY_FILENAME)].register_no
-        raise RosterSchemaError(
-            f"{config.roster_path}: register_no {clash!r} would overwrite {SUMMARY_FILENAME}"
-        )
-    out_dir = Path(config.out_dir) if config.out_dir is not None else Path(".")
+    out_dir = Path(config.out_dir or ".")
+    map_paths = [Path(config.maps_dir or ".", rec.map_path) for rec in roster]
+    named: dict[str, list[Path]] = {SUMMARY_FILENAME: []}  # file name -> inputs of that name
+    for path in (Path(config.teacher_map_path), Path(config.roster_path), *map_paths):
+        named.setdefault(path.name, []).append(path)
+    for rec, name in zip(roster, report_names):
+        # Only an existing file of the report's own name can be overwritten.
+        report = out_dir / name
+        if name in named and (name == SUMMARY_FILENAME or (report.exists() and any(
+                path.exists() and report.samefile(path) for path in named[name]))):
+            raise RosterSchemaError(
+                f"{config.roster_path}: register_no {rec.register_no!r} would overwrite {name}"
+            )
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows: list[tuple[str, str, str]] = []
-    for rec, report_name in zip(roster, report_names):
-        map_path = Path(rec.map_path)
-        if config.maps_dir is not None and not map_path.is_absolute():
-            map_path = Path(config.maps_dir) / map_path
+    for rec, report_name, map_path in zip(roster, report_names, map_paths):
         if not map_path.is_file():
             raise InputError(f"student map for {rec.register_no} not found: {map_path}")
         try:

@@ -222,6 +222,33 @@ class TestBatchCommand:
         assert all(out_dir in (p, *p.parents) for p in written)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("register_no,report_format", [
+        ("teacher_map", "json"), ("student_map", "json"), ("roster", "csv")])
+    def test_report_would_overwrite_an_input(self, tmp_path, capsys, register_no, report_format):
+        for name in ("teacher_map.json", "student_map.json"):
+            (tmp_path / name).write_bytes((DATA_DIR / name).read_bytes())
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("R1", "a", "d", "s", "sub", "student_map.json"),
+                              (register_no, "b", "d", "s", "sub", "student_map.json")])
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        code = main(["batch", "--teacher", str(tmp_path / "teacher_map.json"),
+                     "--roster", str(roster), "--maps-dir", str(tmp_path),
+                     "--out-dir", str(tmp_path), "--format", report_format])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {roster}: register_no {register_no!r} would overwrite "
+                       f"{register_no}.{report_format}\n")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_input_named_report_in_another_directory(self, tmp_path):
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("teacher_map", "a", "d", "s", "sub", "student_map.json")])
+        out_dir = tmp_path / "out"
+        code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                     "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir), "--format", "json"])
+        assert code == 0
+        assert json.loads((out_dir / "teacher_map.json").read_text(encoding="utf-8"))
+
     def test_summary_named_register_no_in_another_format(self, tmp_path):
         roster = tmp_path / "roster.csv"
         write_roster(roster, [("cohort_summary", "a", "d", "s", "sub", "student_map.json")])

@@ -36,7 +36,7 @@ from roughmap.errors import (
     ValidationError,
 )
 from roughmap.fileio import parse_concept_map
-from strategies import concept_maps
+from strategies import concept_maps, teacher_student_pairs
 
 
 def reference_levels(pairs) -> dict:
@@ -274,6 +274,40 @@ class TestAgainstReference:
         got = outcome(lambda: tuple(integrate(as_map(teacher, teacher_by_hand),
                                               as_map(student, student_by_hand)).nodes))
         assert got == outcome(reference_integrate, teacher, student)
+
+
+def described(imap) -> tuple:
+    """(node rows, children_of, max_level) of an integrated map."""
+    return tuple(imap.nodes), imap.children_of, imap.max_level
+
+
+class TestCarriedDepths:
+    """A validated map carries its depths, and `integrate` then walks only
+    the student-only nodes; hand-built copies carry none and take the walk
+    over the whole merged tree.  Node rows are built on first read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(teacher_student_pairs(max_nodes=15, max_extras=6))
+    def test_integrate(self, pair):
+        by_hand = [ConceptMap(subject=m.subject, nodes=m.nodes) for m in pair]
+        assert None not in (pair[0].depth, pair[1].depth)
+        assert validate_map(by_hand[0]).depth == pair[0].depth and by_hand[0].depth is None
+        rows = reference_integrate(*([(n.id, n.parent) for n in m.nodes] for m in pair))
+        children = {nid: tuple(c for c, p, _, _ in rows if p == nid) for nid, _, _, _ in rows}
+        expected = (rows, children, max(level for _, _, level, _ in rows))
+        assert described(integrate(*pair)) == expected
+        assert described(integrate(*by_hand)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(concept_maps(max_nodes=12), st.data())
+    def test_lazy_nodes(self, tree, data):
+        rows = data.draw(st.permutations([
+            MapNode(n.id, n.parent, data.draw(st.none() | st.text(max_size=3)))
+            for n in tree.nodes]))
+        cmap = parse_concept_map(json.dumps({"nodes": [row._asdict() for row in rows]}))
+        assert "nodes" not in vars(cmap)
+        assert all(type(node) is MapNode for node in cmap.nodes)
+        assert [node._asdict() for node in cmap.nodes] == [row._asdict() for row in rows]
 
 
 JSON_VALUES = st.recursive(
