@@ -11,10 +11,12 @@ degree of a parent is |children & GREEN| / |children|
 the lower approximation of the green set, one of degree 0 outside its upper
 approximation.
 
-Nodes are bucketed by level in one pass, and one approximation space over
-the selected levels yields every degree, so analysis is O(n).  Records are
-named tuples built in bulk from columns, and the records of one degree share
-one Fraction: a map has few distinct (green, children) pairs.
+One pass over the map, cached on it, buckets each level's nodes by colour
+and groups them under their parents: `level_regions` reads the buckets, and
+`analyze` builds one approximation space from the chosen levels' child
+blocks, which yields every degree, so analysis is O(n).  Records are named
+tuples built in bulk from columns, and the records of one degree share one
+Fraction: a map has few distinct (green, children) pairs.
 
 Degrees are exact rationals.  For display, and for the aggregate expected
 result, they are truncated toward zero at two decimal places (2/3 becomes
@@ -31,7 +33,7 @@ from itertools import chain, repeat
 from operator import attrgetter, floordiv, mul, sub
 from typing import NamedTuple
 
-from .conceptmap import IntegratedMap, NodeColor, from_columns
+from .conceptmap import IntegratedMap, from_columns
 from .errors import NothingToAnalyzeError
 from .roughset import ApproximationSpace, rough_membership
 
@@ -110,17 +112,11 @@ def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
     top = imap.max_level
     if top < 1:
         raise NothingToAnalyzeError("map has a single node, nothing to classify")
-    # One pass buckets ids by level and colour and parents by level, in node
-    # order.  The root lands in neg[0] and bnd[0], which no region reads.
-    green = NodeColor.GREEN
-    pos, neg = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
-    bnd: list[dict] = [{} for _ in range(top + 1)]
-    for nid, parent, level, color in zip(imap.ids, imap.parents, imap.levels, imap.colors):
-        (pos if color is green else neg)[level].append(nid)
-        bnd[level][parent] = None
+    # A level's boundary set is the parents its child blocks are keyed by.
+    pos, neg, blocks = imap._by_level
     deepest_first = slice(top, 0, -1)
     return from_columns(LevelRegions, range(top, 0, -1), map(tuple, pos[deepest_first]),
-                        map(tuple, neg[deepest_first]), map(tuple, bnd[deepest_first]))
+                        map(tuple, neg[deepest_first]), map(tuple, blocks[deepest_first]))
 
 
 def analyze(imap: IntegratedMap, levels: str = DEEPEST_ONLY) -> AnalysisResult:
@@ -140,7 +136,8 @@ def analyze(imap: IntegratedMap, levels: str = DEEPEST_ONLY) -> AnalysisResult:
     nodes = list(chain.from_iterable(map(_bnd, chosen)))
     node_levels = chain.from_iterable(map(repeat, map(sub, map(_level, chosen), repeat(1)),
                                           map(len, map(_bnd, chosen))))
-    space = ApproximationSpace.from_blocks(map(imap.children_of.__getitem__, nodes))
+    blocks = map(imap._by_level[2].__getitem__, map(_level, chosen))
+    space = ApproximationSpace.from_blocks(chain.from_iterable(map(dict.values, blocks)))
     membership = rough_membership(space, chain.from_iterable(map(_pos, chosen)))
     overlaps, sizes = zip(*membership)
     # One Fraction per distinct (overlap, size) pair, shared by its records.

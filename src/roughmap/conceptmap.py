@@ -9,9 +9,13 @@ map).
 Maps are held as columns (ids, parents, and phrases or levels and colors):
 checks are set operations, and a per-node loop runs only to name an
 offender.  One memoised walk up the parent links finds cycles and gives each
-node's depth; a validated map carries its `parent_of` dict and those depths,
-so integration walks only the student-only nodes.  The `nodes` rows are
-named tuples built in bulk on first read, so a CLI run builds none.
+node's depth, and only a node it leaves unresolved calls for the search for
+unknown parents.  A validated map carries its `parent_of` dict and those
+depths, and integration trusts two validated maps: it looks for no orphan
+and walks only the student-only nodes, from their teacher parents' depths.
+An integrated map's one pass by level gives analysis both its regions and
+its child blocks.  The `nodes` rows and `children_of` are built on first
+read, so a CLI run builds neither.
 """
 
 from __future__ import annotations
@@ -127,19 +131,26 @@ class IntegratedMap:
 
     @cached_property
     def children_of(self) -> dict[str, tuple[str, ...]]:
-        kids: defaultdict[str, list[str]] = defaultdict(list)
-        for nid, parent in zip(self.ids, self.parents):
-            if parent is not None:
-                kids[parent].append(nid)
-        # Leaves share (): an empty list per node is garbage, and outside a
-        # run it counts toward the cyclic collector's next pass.
         children = dict.fromkeys(self.ids, ())
-        children.update((nid, tuple(ids)) for nid, ids in kids.items())
+        for blocks in self._by_level[2][1:]:
+            children.update(zip(blocks, map(tuple, blocks.values())))
         return children
 
     @cached_property
     def max_level(self) -> int:
         return max(self.levels)
+
+    @cached_property
+    def _by_level(self) -> tuple[list, list, list]:
+        """Per level, in node order: green ids, red ids, and ids grouped under
+        their parents (``{parent: [children]}``); the root is red, under None."""
+        green, size = NodeColor.GREEN, self.max_level + 1
+        pos, neg = [[] for _ in range(size)], [[] for _ in range(size)]
+        blocks = [defaultdict(list) for _ in range(size)]
+        for nid, parent, level, color in zip(self.ids, self.parents, self.levels, self.colors):
+            (pos if color is green else neg)[level].append(nid)
+            blocks[level][parent].append(nid)
+        return pos, neg, blocks
 
 
 def from_columns(cls, *columns) -> tuple:
@@ -153,12 +164,12 @@ def _walk_depths(parent_of: Mapping[str, str | None], depth: dict) -> list[str] 
 
     A node whose parent is resolved costs one lookup.  Otherwise the walk
     climbs to the nearest resolved ancestor and resolves the whole climb on
-    the way back.  An id missing from `parent_of` counts as having parent
-    None.  A climb resolves nothing, and its nodes stay out of `depth`, when
-    it meets one of its own nodes again, reaches None while None is not in
-    `depth`, or reaches a node that such a climb left behind.  Each node is
-    climbed through at most once.  Returns the first cycle met, closed by its
-    repeated node, or None.
+    the way back.  A climb resolves nothing, and its nodes stay out of
+    `depth`, when it meets one of its own nodes again, reaches None while
+    None is not in `depth`, reaches an unresolved id missing from
+    `parent_of`, or reaches a node that such a climb left behind.  Each node
+    is climbed through at most once.  Returns the first cycle met, closed by
+    its repeated node, or None.
     """
     get = depth.get
     dead: set[str] = set()
@@ -177,10 +188,10 @@ def _walk_depths(parent_of: Mapping[str, str | None], depth: dict) -> list[str] 
                     path = list(climb)
                     cycle = path[path.index(parent):] + [parent]
                 break
-            if parent is None or parent in dead:
+            if parent is None or parent in dead or parent not in parent_of:
                 break
             climb[parent] = None
-            parent = parent_of.get(parent)
+            parent = parent_of[parent]
         if d is None:
             dead.update(climb)
             continue
@@ -208,14 +219,17 @@ def validate_map(nodes: Iterable | ConceptMap, subject: str = "untitled") -> Con
             if nid in seen:
                 raise DuplicateNodeError(f"duplicate node id: {nid!r}")
             seen.add(nid)
-    unknown = set(parents).difference(parent_of, (None,))
-    if unknown:
-        nid, parent = next((n, p) for n, p in zip(ids, parents) if p in unknown)
-        raise UnknownParentError(f"node {nid!r} references unknown parent {parent!r}")
-    # Cycles are checked before the root count: a rootless input such as
-    # {A->B, B->A} is better reported as the cycle it actually contains.
+    # The walk resolves every node only when no parent is unknown and there
+    # is no cycle; only a node it leaves unresolved needs either check.
     depth = {None: -1}
     cycle = _walk_depths(parent_of, depth)
+    if len(depth) <= len(ids):
+        unknown = set(parents).difference(parent_of, (None,))
+        if unknown:
+            nid, parent = next((n, p) for n, p in zip(ids, parents) if p in unknown)
+            raise UnknownParentError(f"node {nid!r} references unknown parent {parent!r}")
+    # Cycles are checked before the root count: a rootless input such as
+    # {A->B, B->A} is better reported as the cycle it actually contains.
     if cycle is not None:
         raise CycleError("cycle among nodes: " + " -> ".join(cycle))
     root_count = parents.count(None)
@@ -246,27 +260,30 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     extra_ids = tuple(filterfalse(teacher.parent_of.__contains__, student.ids))
     extra_parents = tuple(map(student_parent.__getitem__, extra_ids))
     merged_ids, merged_parents = ids + extra_ids, parents + extra_parents
-    orphans = set(merged_parents).difference(teacher.parent_of, student_parent, (None,))
-    if orphans:
-        nid, parent = next((n, p) for n, p in zip(merged_ids, merged_parents) if p in orphans)
-        raise OrphanNodeError(f"node {nid!r} has parent {parent!r} present in neither map")
     if teacher.depth is not None and student.depth is not None:
-        # Two validated trees with one root: teacher nodes keep their depths,
-        # and a student-only node climbs to a teacher node without a cycle.
-        levels = dict(teacher.depth)
-        _walk_depths(dict(zip(extra_ids, extra_parents)), levels)
+        # Two validated trees with one root: no parent is an orphan, teacher
+        # nodes keep their depths, and a student-only node climbs without a
+        # cycle to a teacher node, whose depth seeds the walk.
+        depth = teacher.depth
+        extra = {parent: depth[parent] for parent in extra_parents if parent in depth}
+        _walk_depths(dict(zip(extra_ids, extra_parents)), extra)
+        levels = (*map(depth.__getitem__, ids), *map(extra.__getitem__, extra_ids))
     else:
+        orphans = set(merged_parents).difference(teacher.parent_of, student_parent, (None,))
+        if orphans:
+            nid, parent = next((n, p) for n, p in zip(merged_ids, merged_parents) if p in orphans)
+            raise OrphanNodeError(f"node {nid!r} has parent {parent!r} present in neither map")
         # A map built by hand may hold cycles, unknown parents or several
         # roots: walk the whole merged tree from the last root listed.
         root = [nid for nid, parent in zip(merged_ids, merged_parents) if parent is None][-1]
-        levels = {root: 0}
-        _walk_depths(dict(zip(merged_ids, merged_parents)), levels)
-    if len(levels) != len(merged_ids):
-        unreachable = [nid for nid in merged_ids if nid not in levels]
-        raise CycleError(f"nodes unreachable from the root: {unreachable}")
+        depth = {root: 0}
+        _walk_depths(dict(zip(merged_ids, merged_parents)), depth)
+        if len(depth) != len(merged_ids):
+            unreachable = [nid for nid in merged_ids if nid not in depth]
+            raise CycleError(f"nodes unreachable from the root: {unreachable}")
+        levels = tuple(map(depth.__getitem__, merged_ids))
     colors = list(map((NodeColor.RED, NodeColor.GREEN).__getitem__,
                       map(eq, map(student_parent.get, ids), parents)))
     colors[parents.index(None)] = None
     colors.extend(repeat(NodeColor.GREEN, len(extra_ids)))
-    return IntegratedMap(teacher.subject, merged_ids, merged_parents,
-                         tuple(map(levels.__getitem__, merged_ids)), tuple(colors))
+    return IntegratedMap(teacher.subject, merged_ids, merged_parents, levels, tuple(colors))

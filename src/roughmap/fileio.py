@@ -106,18 +106,18 @@ _OPTIONAL_STR = {str, type(None)}
 
 def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
     """The id, parent and phrase columns of a map's entries.  They are read
-    in bulk and type-checked as sets; only entries failing that are checked
-    one by one, to name the first malformed entry."""
-    if set(map(type, entries)) <= {dict}:
-        try:
-            ids, parents = tuple(map(_ID, entries)), tuple(map(_PARENT, entries))
-        except KeyError:
-            pass
-        else:
-            phrases = tuple(map(dict.get, entries, repeat("phrase")))
-            if (set(map(type, ids)) <= {str}
-                    and set(map(type, parents)) | set(map(type, phrases)) <= _OPTIONAL_STR):
-                return ids, parents, phrases
+    in bulk (of JSON values only an object has string keys, so a non-object
+    entry raises TypeError) and type-checked as sets; only entries failing
+    that are checked one by one, to name the first malformed entry."""
+    try:
+        ids, parents = tuple(map(_ID, entries)), tuple(map(_PARENT, entries))
+    except (KeyError, TypeError):
+        pass
+    else:
+        phrases = tuple(map(dict.get, entries, repeat("phrase")))
+        if (set(map(type, ids)) <= {str}
+                and set(map(type, parents)) | set(map(type, phrases)) <= _OPTIONAL_STR):
+            return ids, parents, phrases
     # Some entry failed a bulk check, so this loop raises.
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry or "parent" not in entry:
@@ -246,7 +246,21 @@ def run_analyze(config: RunConfig, stderr: TextIO | None = None) -> int:
     return 0
 
 
+def _replaced_input(target: Path, inputs: list[Path]) -> Path | None:
+    """The first of `inputs` that is the existing file `target`.  Callers
+    pass only inputs of the target's own file name, so a run whose outputs
+    are named unlike its inputs stats nothing."""
+    return next((path for path in inputs
+                 if target.exists() and path.exists() and target.samefile(path)), None)
+
+
 def _run(config: RunConfig) -> None:
+    if config.student_map_path is not None and config.out_path is not None:
+        out = Path(config.out_path)
+        inputs = (Path(config.teacher_map_path), Path(config.student_map_path))
+        replaced = _replaced_input(out, [path for path in inputs if path.name == out.name])
+        if replaced is not None:
+            raise InputError(f"--out {out} would overwrite input {replaced}")
     teacher = parse_concept_map_file(config.teacher_map_path)
     if config.student_map_path is not None:
         student = parse_concept_map_file(config.student_map_path)
@@ -260,17 +274,19 @@ def _run(config: RunConfig) -> None:
     report_names = [f"{rec.register_no}.{config.report_format}" for rec in roster]
     out_dir = Path(config.out_dir or ".")
     map_paths = [Path(config.maps_dir or ".", rec.map_path) for rec in roster]
-    named: dict[str, list[Path]] = {SUMMARY_FILENAME: []}  # file name -> inputs of that name
+    named: dict[str, list[Path]] = {}  # file name -> inputs of that name
     for path in (Path(config.teacher_map_path), Path(config.roster_path), *map_paths):
         named.setdefault(path.name, []).append(path)
     for rec, name in zip(roster, report_names):
-        # Only an existing file of the report's own name can be overwritten.
-        report = out_dir / name
-        if name in named and (name == SUMMARY_FILENAME or (report.exists() and any(
-                path.exists() and report.samefile(path) for path in named[name]))):
+        if name == SUMMARY_FILENAME or _replaced_input(out_dir / name, named.get(name, [])):
             raise RosterSchemaError(
                 f"{config.roster_path}: register_no {rec.register_no!r} would overwrite {name}"
             )
+    replaced = _replaced_input(out_dir / SUMMARY_FILENAME, named.get(SUMMARY_FILENAME, []))
+    if replaced is not None:
+        raise RosterSchemaError(
+            f"{config.roster_path}: {SUMMARY_FILENAME} would overwrite input {replaced}"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_rows: list[tuple[str, str, str]] = []
     for rec, report_name, map_path in zip(roster, report_names, map_paths):

@@ -55,6 +55,23 @@ class TestAnalyzeCommand:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert [r["node"] for r in doc["records"]] == ["U1", "U2", "U3", "U4", "U5", "S1"]
 
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_out_would_overwrite_an_input(self, tmp_path, capsys, role):
+        paths = {}
+        for key, name in (("teacher", "teacher_map.json"), ("student", "student_map.json")):
+            paths[key] = tmp_path / name
+            paths[key].write_bytes((DATA_DIR / name).read_bytes())
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "sub" / ".." / paths[role].name  # the input, spelled otherwise
+        before = {p: p.read_bytes() for p in paths.values()}
+        code = main(["analyze", "--teacher", str(paths["teacher"]), "--student",
+                     str(paths["student"]), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out} would overwrite input {paths[role]}\n"
+        assert {p: p.read_bytes() for p in paths.values()} == before
+        assert sorted(tmp_path.iterdir()) == sorted([*paths.values(), tmp_path / "sub"])
+
     def test_missing_teacher_map_exits_2(self, tmp_path, capsys):
         out = tmp_path / "never.txt"
         code = main(["analyze", "--teacher", str(tmp_path / "absent.json"),
@@ -239,6 +256,23 @@ class TestBatchCommand:
         assert err == (f"error: {roster}: register_no {register_no!r} would overwrite "
                        f"{register_no}.{report_format}\n")
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("role", ["teacher", "roster", "student_map"])
+    def test_summary_would_overwrite_an_input(self, tmp_path, capsys, role):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        paths = {key: tmp_path / f"{key}.in" for key in ("teacher", "roster", "student_map")}
+        paths[role] = out_dir / "cohort_summary.csv"
+        paths["teacher"].write_bytes((DATA_DIR / "teacher_map.json").read_bytes())
+        paths["student_map"].write_bytes((DATA_DIR / "student_map.json").read_bytes())
+        write_roster(paths["roster"], [("R1", "a", "d", "s", "sub", str(paths["student_map"]))])
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        code = main(["batch", "--teacher", str(paths["teacher"]), "--roster", str(paths["roster"]),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {paths['roster']}: cohort_summary.csv "
+                                           f"would overwrite input {paths[role]}\n")
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_input_named_report_in_another_directory(self, tmp_path):
         roster = tmp_path / "roster.csv"

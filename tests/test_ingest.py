@@ -14,13 +14,14 @@ from collections import deque
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import levels_of
 from roughmap.conceptmap import (
     ConceptMap,
     MapNode,
     NodeColor,
+    _walk_depths,
     integrate,
     validate_map,
 )
@@ -260,6 +261,11 @@ class TestAgainstReference:
 
     @settings(max_examples=400, deadline=None)
     @given(node_lists())
+    # An unknown parent is reported before a cycle and after a duplicate,
+    # also when it would resolve as a root of its own.
+    @example([("r", None), ("b", "ghost"), ("c", "c")])
+    @example([("a", "b"), ("b", "a"), ("c", "ghost")])
+    @example([("a", None), ("b", "ghost"), ("b", "a")])
     def test_validate(self, nodes):
         def validate(nodes):
             cmap = validate_map(nodes)
@@ -279,6 +285,17 @@ class TestAgainstReference:
 def described(imap) -> tuple:
     """(node rows, children_of, max_level) of an integrated map."""
     return tuple(imap.nodes), imap.children_of, imap.max_level
+
+
+def test_walk_stops_at_a_missing_id():
+    """A climb that reaches an id missing from the parent links resolves
+    nothing, however many nodes it passed; a resolved id ends a climb."""
+    depth = {None: -1}
+    assert _walk_depths({"r": None, "c": "b", "b": "ghost", "d": "c"}, depth) is None
+    assert depth == {None: -1, "r": 0}
+    depth = {"ghost": 3}
+    assert _walk_depths({"c": "b", "b": "ghost"}, depth) is None
+    assert depth == {"ghost": 3, "b": 4, "c": 5}
 
 
 class TestCarriedDepths:

@@ -2,7 +2,8 @@
 
 `ConceptMap.nodes` and `IntegratedMap.nodes` are built on first read, by
 `conceptmap.from_columns`.  These tests spy on that function during
-`analyze` and `batch` runs, and check that no map the run made holds rows.
+`analyze` and `batch` runs, and check that no map the run made holds rows
+and that the integrated map built no `children_of`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ def assert_no_rows(spied):
     assert len(maps) >= 3  # teacher, student, integrated
     assert MapNode not in built and IntegratedNode not in built
     assert not any("nodes" in vars(m) for m in maps)
+    assert not any("children_of" in vars(m) for m in maps)  # analyze reads level blocks
     # The spy sees rows once they are read.
     assert [len(m.nodes) for m in maps[:3]] == [20, 13, 20]
     assert built[:3] == [MapNode, MapNode, IntegratedNode]
