@@ -11,12 +11,14 @@ degree of a parent is |children & GREEN| / |children|
 the lower approximation of the green set, one of degree 0 outside its upper
 approximation.
 
-One pass over the map, cached on it, buckets each level's nodes by colour
-and groups them under their parents: `level_regions` reads the buckets, and
-`analyze` builds one approximation space from the chosen levels' child
-blocks, which yields every degree, so analysis is O(n).  Records are named
-tuples built in bulk from columns, and the records of one degree share one
-Fraction: a map has few distinct (green, children) pairs.
+`integrate` buckets each level's nodes by colour and under their parents:
+`level_regions` reads the buckets, and `analyze` takes every degree from one
+unchecked count (`roughset._block_membership`) over the chosen levels' child
+blocks, so analysis is O(n).  No check is needed: each node is in the one
+block of its parent, so the blocks partition the chosen levels' nodes, and
+those levels' green ids are among them.  Records are named tuples built in
+bulk from columns, and the records of one degree share one Fraction: a map
+has few distinct (green, children) pairs.
 
 Degrees are exact rationals.  For display, and for the aggregate expected
 result, they are truncated toward zero at two decimal places (2/3 becomes
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 from .conceptmap import IntegratedMap, from_columns
 from .errors import NothingToAnalyzeError
-from .roughset import ApproximationSpace, rough_membership
+from .roughset import _block_membership
 
 __all__ = [
     "LevelRegions",
@@ -137,8 +139,8 @@ def analyze(imap: IntegratedMap, levels: str = DEEPEST_ONLY) -> AnalysisResult:
     node_levels = chain.from_iterable(map(repeat, map(sub, map(_level, chosen), repeat(1)),
                                           map(len, map(_bnd, chosen))))
     blocks = map(imap._by_level[2].__getitem__, map(_level, chosen))
-    space = ApproximationSpace.from_blocks(chain.from_iterable(map(dict.values, blocks)))
-    membership = rough_membership(space, chain.from_iterable(map(_pos, chosen)))
+    membership = _block_membership(list(chain.from_iterable(map(dict.values, blocks))),
+                                   chain.from_iterable(map(_pos, chosen)))
     overlaps, sizes = zip(*membership)
     # One Fraction per distinct (overlap, size) pair, shared by its records.
     degrees = {pair: Fraction(*pair) for pair in set(membership)}

@@ -105,18 +105,18 @@ _OPTIONAL_STR = {str, type(None)}
 
 
 def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
-    """The id, parent and phrase columns of a map's entries.  They are read
-    in bulk (of JSON values only an object has string keys, so a non-object
-    entry raises TypeError) and type-checked as sets; only entries failing
-    that are checked one by one, to name the first malformed entry."""
+    """The id, parent and phrase columns of a map's entries, read in bulk (a
+    non-object entry raises TypeError) and checked whole: the ids by encoding
+    their join, which fails on a non-string or a lone surrogate, the others'
+    types as sets.  Only a failing map is checked entry by entry."""
     try:
         ids, parents = tuple(map(_ID, entries)), tuple(map(_PARENT, entries))
-    except (KeyError, TypeError):
+        "".join(ids).encode("utf-8")
+    except (KeyError, TypeError, UnicodeEncodeError):
         pass
     else:
         phrases = tuple(map(dict.get, entries, repeat("phrase")))
-        if (set(map(type, ids)) <= {str}
-                and set(map(type, parents)) | set(map(type, phrases)) <= _OPTIONAL_STR):
+        if set(map(type, parents)) | set(map(type, phrases)) <= _OPTIONAL_STR:
             return ids, parents, phrases
     # Some entry failed a bulk check, so this loop raises.
     for i, entry in enumerate(entries):
@@ -125,6 +125,8 @@ def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
         nid, parent, phrase = entry["id"], entry["parent"], entry.get("phrase")
         if not isinstance(nid, str):
             raise MapFileParseError(f"{source}: nodes[{i}].id must be a string")
+        if any("\ud800" <= c <= "\udfff" for c in nid):
+            raise MapFileParseError(f"{source}: nodes[{i}].id is not valid UTF-8 text")
         if parent is not None and not isinstance(parent, str):
             raise MapFileParseError(f"{source}: nodes[{i}].parent must be a string or null")
         if phrase is not None and not isinstance(phrase, str):

@@ -185,8 +185,8 @@ def _table(headers: Sequence[str], columns: Iterable[Iterable[str]]) -> list[str
     """Left-aligned columns two spaces apart, header row first, trailing
     blanks stripped."""
     columns = [[header, *column] for header, column in zip(headers, columns)]
-    line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in columns).format
-    return list(map(str.rstrip, map(line, *columns)))
+    padded = [map(str.ljust, column, repeat(max(map(len, column)))) for column in columns[:-1]]
+    return list(map(str.rstrip, map("  ".join, zip(*padded, columns[-1]))))
 
 
 _join = ", ".join

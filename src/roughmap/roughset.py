@@ -4,7 +4,8 @@ indiscernibility partitions over decision tables.
 All containers are immutable and every operation is a pure function, so
 values can be shared freely across threads.  Set-valued results come back as
 tuples ordered by the universe's insertion order, which keeps reports and
-golden files reproducible.
+golden files reproducible.  Every public function checks its inputs; the
+private `_block_membership` is `rough_membership` without the checks.
 """
 
 from __future__ import annotations
@@ -205,8 +206,13 @@ def rough_membership(space: ApproximationSpace, a: Iterable[str]) -> tuple[tuple
     Their ratio is Pawlak's rough membership of each element of B in `a`:
     1 on the lower approximation, 0 outside the upper approximation.
     """
-    subset = _checked_subset(space, a)
-    blocks = space.partition.blocks
+    return _block_membership(space.partition.blocks, _checked_subset(space, a))
+
+
+def _block_membership(blocks: Sequence[Sequence[str]], a: Iterable[str]) -> tuple[tuple[int, int], ...]:
+    """`rough_membership` without its checks: `blocks` must be non-empty and
+    pairwise disjoint, and `a` inside their union, or the counts are wrong."""
+    subset = frozenset(a)
     return tuple(zip(map(len, map(subset.intersection, blocks)), map(len, blocks)))
 
 

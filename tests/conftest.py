@@ -38,6 +38,11 @@ GREEN_LEAVES = {"C2", "C3", "C5", "C7", "C8", "C9", "C12"}
 RED_LEAVES = {"C1", "C4", "C6", "C10", "C11", "C13", "C14"}
 
 
+def by_id(cmap: ConceptMap | IntegratedMap) -> dict:
+    """A map's node rows by id."""
+    return {n.id: n for n in cmap.nodes}
+
+
 def levels_of(cmap: ConceptMap) -> dict[str, int]:
     """Each node's level in the map integrated with itself."""
     return {n.id: n.level for n in integrate(cmap, cmap).nodes}

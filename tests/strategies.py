@@ -65,20 +65,27 @@ def concept_maps(draw, max_nodes: int = 20, min_nodes: int = 2) -> ConceptMap:
 def teacher_student_pairs(draw, max_nodes: int = 20, max_extras: int = 0):
     """A teacher tree plus a student keeping a random root-closed subset of
     it (a node survives only if its parent survived).  With `max_extras`,
-    the student also adds up to that many nodes of its own, each under a
-    kept node or another added one, and lists its nodes in any order."""
+    the student also files some kept nodes under another node kept before
+    them, adds up to that many nodes of its own, each under a kept node or
+    another added one, and lists its nodes either parent first or in any
+    order."""
     teacher = draw(concept_maps(max_nodes=max_nodes))
-    kept = {teacher.root.id}
-    student_nodes: list[tuple[str, str | None]] = [(teacher.root.id, None)]
+    root = teacher.ids[teacher.parents.index(None)]
+    kept = {root}
+    student_nodes: list[tuple[str, str | None]] = [(root, None)]
     for node in teacher.nodes:
         if node.parent is None:
             continue
         if node.parent in kept and draw(st.booleans()):
+            parent = node.parent
+            if max_extras and draw(st.integers(0, 3)) == 0:  # misplaced
+                parent = draw(st.sampled_from([nid for nid, _ in student_nodes]))
             kept.add(node.id)
-            student_nodes.append((node.id, node.parent))
+            student_nodes.append((node.id, parent))
     if max_extras:
         for i in range(draw(st.integers(0, max_extras))):
             parent = draw(st.sampled_from([nid for nid, _ in student_nodes]))
             student_nodes.append((f"x{i}", parent))
-        student_nodes = draw(st.permutations(student_nodes))
+        if draw(st.booleans()):
+            student_nodes = draw(st.permutations(student_nodes))
     return teacher, validate_map(student_nodes, subject=teacher.subject)

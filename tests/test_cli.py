@@ -133,6 +133,34 @@ class TestHostileMapFiles:
         self._exits_2_with_one_line(utf16, capsys)
 
 
+    def test_lone_surrogate_id(self, tmp_path, capsys):
+        """JSON can spell a lone surrogate, which no UTF-8 report can hold:
+        every command exits 2 with one line and writes nothing."""
+        doc = json.loads((DATA_DIR / "student_map.json").read_text(encoding="utf-8"))
+        doc["nodes"] += [{"id": "U\ud800", "parent": "S1"}, {"id": "C99", "parent": "U\ud800"}]
+        bad = tmp_path / "surrogate.json"
+        bad.write_text(json.dumps(doc), encoding="ascii")
+        line = f"error: {bad}: nodes[{len(doc['nodes']) - 2}].id is not valid UTF-8 text\n"
+        out = tmp_path / "report"
+        out.write_bytes(b"kept\n")
+        for report_format in ("text", "csv", "json"):
+            analyze = ["analyze", "--teacher", TEACHER, "--student", str(bad),
+                       "--format", report_format]
+            for argv in (analyze, [*analyze, "--out", str(out)]):
+                assert main(argv) == 2
+                assert capsys.readouterr() == ("", line)
+                assert out.read_bytes() == b"kept\n"
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr() == ("", line)
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("R1", "a", "d", "s", "sub", bad.name)])
+        out_dir = tmp_path / "out"
+        assert main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                     "--maps-dir", str(tmp_path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr() == ("", line)
+        assert list(out_dir.iterdir()) == []
+
+
 class TestByteOrderMark:
     """A leading UTF-8 byte order mark, as some editors and Excel's
     "CSV UTF-8" export write, is skipped in map files and rosters."""

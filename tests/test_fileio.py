@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, by_id
 from roughmap.conceptmap import integrate
 from roughmap.errors import (
     DuplicateNodeError,
@@ -27,7 +27,7 @@ class TestParseConceptMap:
     def test_sample_file(self, teacher_map):
         assert len(teacher_map.nodes) == 20
         assert integrate(teacher_map, teacher_map).max_level == 2
-        assert teacher_map.by_id["U1"].phrase == "includes"
+        assert by_id(teacher_map)["U1"].phrase == "includes"
 
     def test_duplicate_id_named(self, tmp_path):
         path = tmp_path / "dup.json"

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
+from collections import defaultdict, deque
+from itertools import repeat
+from operator import eq
+from unittest.mock import ANY
 
 import hypothesis.strategies as st
 import pytest
@@ -36,7 +39,9 @@ from roughmap.errors import (
     UnknownParentError,
     ValidationError,
 )
+from roughmap.analysis import analyze, level_regions
 from roughmap.fileio import parse_concept_map
+from roughmap.roughset import ApproximationSpace, _block_membership, rough_membership
 from strategies import concept_maps, teacher_student_pairs
 
 
@@ -152,6 +157,42 @@ def reference_integrate(teacher, student) -> tuple:
     return tuple((nid, parent, levels[nid], color) for nid, parent, color in merged)
 
 
+def reference_colors(teacher, student, extras: int) -> tuple:
+    """The colour column mapped column-wise: a teacher node is green when the
+    student has it under the same parent, the root has none, and the
+    `extras` student-only nodes that follow are green."""
+    colors = list(map((NodeColor.RED, NodeColor.GREEN).__getitem__,
+                      map(eq, map(student.parent_of.get, teacher.ids), teacher.parents)))
+    colors[teacher.parents.index(None)] = None
+    colors.extend(repeat(NodeColor.GREEN, extras))
+    return tuple(colors)
+
+
+def reference_by_level(imap) -> tuple:
+    """Per level, in node order: green ids, red ids, and the ids grouped
+    under their parents, from a second pass over an integrated map's
+    columns; the root is red, under None."""
+    size = max(imap.levels) + 1
+    pos, neg = [[] for _ in range(size)], [[] for _ in range(size)]
+    blocks = [defaultdict(list) for _ in range(size)]
+    for nid, parent, level, color in zip(imap.ids, imap.parents, imap.levels, imap.colors):
+        (pos if color is NodeColor.GREEN else neg)[level].append(nid)
+        blocks[level][parent].append(nid)
+    return pos, neg, blocks
+
+
+def reference_membership(blocks, green) -> tuple:
+    """(green children, children) per block, through the checked space."""
+    return rough_membership(ApproximationSpace.from_blocks(blocks), green)
+
+
+def ordered(by_level) -> tuple:
+    """Buckets with each level's blocks as (parent, children) pairs, so that
+    comparing two also compares the order of their parents."""
+    pos, neg, blocks = by_level
+    return pos, neg, [list(level.items()) for level in blocks]
+
+
 def outcome(fn, *args):
     """What a call did: ("ok", value) or ("raised", type, message)."""
     try:
@@ -170,14 +211,16 @@ def links(ids) -> st.SearchStrategy:
 
 @st.composite
 def node_lists(draw) -> list:
-    """(id, parent) lists in any order: shuffled trees, some with one link
-    rewired or one node listed twice, and arbitrary links among a few ids
-    (unknown parents, cycles, no root or several)."""
+    """(id, parent) lists: trees listed parent first or shuffled, some with
+    one link rewired or one node listed twice, and arbitrary links among a
+    few ids in any order (unknown parents, cycles, no root or several)."""
     if draw(st.booleans()):
         ids = draw(st.lists(st.sampled_from(POOL), unique=True))
         return [(nid, draw(links(POOL))) for nid in ids]
     tree = draw(concept_maps(max_nodes=12, min_nodes=1))
-    nodes = draw(st.permutations([(n.id, n.parent) for n in tree.nodes]))
+    nodes = [(n.id, n.parent) for n in tree.nodes]  # parent first
+    if draw(st.booleans()):
+        nodes = draw(st.permutations(nodes))
     ids = [nid for nid, _ in nodes]
     change = draw(st.sampled_from(["none", "rewire", "duplicate"]))
     if change == "rewire":
@@ -266,6 +309,10 @@ class TestAgainstReference:
     @example([("r", None), ("b", "ghost"), ("c", "c")])
     @example([("a", "b"), ("b", "a"), ("c", "ghost")])
     @example([("a", None), ("b", "ghost"), ("b", "a")])
+    # Listed parent first, but an id repeats or a second root follows.
+    @example([("a", None), ("b", "a"), ("b", "a")])
+    @example([("a", None), ("b", "a"), ("a", "b")])
+    @example([("a", None), ("b", "a"), ("c", None), ("d", "c")])
     def test_validate(self, nodes):
         def validate(nodes):
             cmap = validate_map(nodes)
@@ -327,6 +374,54 @@ class TestCarriedDepths:
         assert [node._asdict() for node in cmap.nodes] == [row._asdict() for row in rows]
 
 
+class TestOnePass:
+    """Validation of a parent-first map and the colour-and-level pass of
+    `integrate` against the references, and the unchecked membership count
+    of `analyze` against the checked one."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(teacher_student_pairs(max_nodes=15, max_extras=6), st.data())
+    def test_integrate(self, pair, data):
+        teacher, student = pair
+        if data.draw(st.booleans(), label="shuffle teacher"):
+            teacher = validate_map(data.draw(st.permutations(teacher.nodes)), teacher.subject)
+        teacher, student = (ConceptMap(subject=m.subject, nodes=m.nodes)
+                            if data.draw(st.booleans(), label="by hand") else m
+                            for m in (teacher, student))
+        imap = integrate(teacher, student)
+        rows = reference_integrate(*([(n.id, n.parent) for n in m.nodes] for m in (teacher, student)))
+        assert imap.levels == tuple(level for _, _, level, _ in rows)
+        assert imap.colors == reference_colors(teacher, student, len(imap.ids) - len(teacher.ids))
+        assert ordered(imap._by_level) == ordered(reference_by_level(imap))
+        assert imap.max_level == max(imap.levels)
+        pos, _, blocks = reference_by_level(imap)
+        regions = level_regions(imap)
+        for chosen, levels in ((regions[:1], "deepest"), (regions, "all")):
+            level_blocks = [kids for reg in chosen for kids in blocks[reg.level].values()]
+            green = [nid for reg in chosen for nid in pos[reg.level]]
+            expected = reference_membership(level_blocks, green)
+            assert _block_membership(level_blocks, green) == expected
+            records = analyze(imap, levels).records
+            assert [(r.overlap, r.child_count) for r in records] == list(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(concept_maps(max_nodes=12), st.data())
+    def test_parent_first_builds_no_parent_dict(self, tree, data):
+        """A map listed parent first is validated by the one pass; the
+        student side of `integrate` builds its parent dict, the teacher's
+        never is."""
+        nodes = data.draw(st.permutations(tree.nodes))
+        parent_first = all(parent in {n.id for n in nodes[:i]}
+                           for i, (_, parent, _) in enumerate(nodes) if parent is not None)
+        teacher, student = validate_map(tree.nodes), validate_map(nodes)
+        assert "parent_of" not in vars(teacher)
+        assert ("parent_of" in vars(student)) is not parent_first
+        assert student.depth == teacher.depth
+        integrate(teacher, student)
+        assert "parent_of" not in vars(teacher) and "parent_of" in vars(student)
+
+
+SURROGATES = st.integers(0xD800, 0xDFFF).map(chr)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
@@ -352,6 +447,25 @@ class TestFuzz:
             parse_concept_map(data)
         except RoughMapError:
             pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(st.sampled_from("ab") | SURROGATES, max_size=3), min_size=1,
+                    max_size=6), st.data())
+    def test_surrogate_ids(self, ids, data):
+        """An id holding a lone surrogate is refused, naming the first such
+        entry; any other map parses or fails validation as before.  JSON
+        decoding joins an escaped high and low surrogate into one valid
+        character, so only what remains unpaired is lone."""
+        nodes = [{"id": nid, "parent": data.draw(st.sampled_from(ids[:i])) if i else None}
+                 for i, nid in enumerate(ids)]
+        text = json.dumps({"nodes": nodes})
+        decoded = [node["id"] for node in json.loads(text)["nodes"]]
+        bad = [i for i, nid in enumerate(decoded) if any(0xD800 <= ord(c) <= 0xDFFF for c in nid)]
+        if bad:
+            message = f"<string>: nodes[{bad[0]}].id is not valid UTF-8 text"
+            assert outcome(parse_concept_map, text) == ("raised", MapFileParseError, message)
+        else:
+            assert outcome(parse_concept_map, text)[:2] in (("ok", ANY), ("raised", DuplicateNodeError))
 
 
 

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import strategies
+from conftest import by_id
 from roughmap.analysis import analyze, level_regions
 from roughmap.conceptmap import NodeColor, integrate, validate_map
 from roughmap.grading import (
@@ -107,40 +108,39 @@ def test_indiscernibility_refines_under_attribute_growth(table, data):
 def test_self_integration_is_all_green(cmap):
     imap = integrate(cmap, cmap)
     assert all(n.color is NodeColor.GREEN for n in imap.nodes if n.parent is not None)
-    assert imap.by_id[cmap.root.id].color is None
+    assert by_id(imap)[cmap.ids[cmap.parents.index(None)]].color is None
 
 
 @given(strategies.teacher_student_pairs())
 def test_node_set_is_union_and_structure_is_teachers(pair):
     teacher, student = pair
-    imap = integrate(teacher, student)
-    assert {n.id for n in imap.nodes} == {n.id for n in teacher.nodes} | {
-        n.id for n in student.nodes}
+    rows = by_id(integrate(teacher, student))
+    assert set(rows) == {n.id for n in teacher.nodes} | {n.id for n in student.nodes}
     for node in teacher.nodes:
-        assert imap.by_id[node.id].parent == node.parent
+        assert rows[node.id].parent == node.parent
 
 
 @given(strategies.teacher_student_pairs())
 def test_levels_are_parent_plus_one(pair):
     teacher, student = pair
-    imap = integrate(teacher, student)
-    for node in imap.nodes:
+    rows = by_id(integrate(teacher, student))
+    for node in rows.values():
         if node.parent is None:
             assert node.level == 0
         else:
-            assert node.level == imap.by_id[node.parent].level + 1
+            assert node.level == rows[node.parent].level + 1
 
 
 @given(strategies.teacher_student_pairs())
 def test_red_nodes_are_exactly_inconsistent_teacher_nodes(pair):
     teacher, student = pair
-    imap = integrate(teacher, student)
+    rows = by_id(integrate(teacher, student))
     student_parent = {n.id: n.parent for n in student.nodes}
     for node in teacher.nodes:
         if node.parent is None:
             continue
         expected_green = student_parent.get(node.id) == node.parent
-        got = imap.by_id[node.id].color
+        got = rows[node.id].color
         assert got is (NodeColor.GREEN if expected_green else NodeColor.RED)
 
 
@@ -153,12 +153,13 @@ def test_analysis_matches_direct_recount(pair):
     if imap.max_level < 1:
         return
     result = analyze(imap, "all")
+    rows = by_id(imap)
     seen = set()
     for rec in result.records:
         assert rec.node not in seen  # one record per boundary node
         seen.add(rec.node)
         children = imap.children_of[rec.node]
-        greens = sum(1 for c in children if imap.by_id[c].color is NodeColor.GREEN)
+        greens = sum(1 for c in children if rows[c].color is NodeColor.GREEN)
         assert rec.child_count == len(children)
         assert rec.overlap == greens
         assert rec.alpha == Fraction(greens, len(children))
@@ -176,13 +177,14 @@ def test_regions_match_colors_per_level(pair):
     imap = integrate(teacher, student)
     if imap.max_level < 1:
         return
+    rows = by_id(imap)
     for reg in level_regions(imap):
         at_level = [n for n in imap.nodes if n.level == reg.level]
         assert set(reg.pos) == {n.id for n in at_level if n.color is NodeColor.GREEN}
         assert set(reg.neg) == {n.id for n in at_level if n.color is NodeColor.RED}
         assert set(reg.bnd) == {n.parent for n in at_level}
         for parent in reg.bnd:
-            assert imap.by_id[parent].level == reg.level - 1
+            assert rows[parent].level == reg.level - 1
 
 
 @given(strategies.concept_maps(max_nodes=20), st.data())
