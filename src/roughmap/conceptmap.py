@@ -8,14 +8,16 @@ map).
 
 Maps are held as columns (ids, parents, and phrases or levels and colors):
 checks are set operations, and a per-node loop runs only to name an
-offender.  A map listing each parent before its children, with no repeated
-id and one root, is a tree, and one pass gives its depths; any other map
-takes a memoised walk up its `parent_of` links, which finds cycles.  A
-validated map carries its depths and builds `parent_of` only when read, as
-integration does for the student's map.  Integration trusts two validated
-maps, and one pass colours the merged nodes and buckets them by level,
-colour and parent for analysis.  The `nodes` rows and `children_of` are
-built on first read, so a CLI run builds neither.
+offender.  One memoised walk up the parent links finds cycles and gives each
+node's depth, and only a node it leaves unresolved calls for the search for
+unknown parents.  A validated map carries its `parent_of` dict and those
+depths, and integration trusts two validated maps: it looks for no orphan
+and walks only the student-only nodes, from their teacher parents' depths.
+The pass that colours the merged nodes also buckets them by level, colour
+and parent, which gives analysis both its regions and its child blocks; a
+map made other than by `integrate` buckets its nodes on first read.  The
+`nodes` rows and `children_of` are built on first read, so a CLI run builds
+neither.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse, repeat, starmap
-from operator import attrgetter
+from operator import attrgetter, eq, is_
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -104,7 +106,7 @@ class IntegratedNode(NamedTuple):
 
 @dataclass(frozen=True)
 class IntegratedMap:
-    """Colored merge of two maps, made with its `_by_level` by :func:`integrate`;
+    """Colored merge of a teacher map and a student map, levels recomputed;
     node i is ``IntegratedNode(ids[i], parents[i], levels[i], colors[i])``."""
 
     subject: str
@@ -131,6 +133,32 @@ class IntegratedMap:
     @cached_property
     def max_level(self) -> int:
         return max(self.levels)
+
+    @cached_property
+    def _by_level(self) -> tuple[list, list, list]:
+        """Per level, in node order: green ids, red ids, and ids grouped under
+        their parents (``{parent: [children]}``).  `integrate` fills it."""
+        greens = map(is_, self.colors, repeat(NodeColor.GREEN))
+        return _color_levels(self.ids, self.parents, self.levels, self.max_level, greens)[1]
+
+
+def _color_levels(ids, parents, levels, top: int, greens: Iterable[bool]) -> tuple[list, tuple]:
+    """Each node's colour, green or red as `greens` says, and the nodes of
+    each level 0..top, in node order: green ids, red ids and
+    ``{parent: [children]}``."""
+    pos, neg = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
+    blocks = [defaultdict(list) for _ in range(top + 1)]
+    colors: list[NodeColor | None] = []
+    green, red, color = NodeColor.GREEN, NodeColor.RED, colors.append
+    for nid, parent, level, is_green in zip(ids, parents, levels, greens):
+        if is_green:
+            color(green)
+            pos[level].append(nid)
+        else:
+            color(red)
+            neg[level].append(nid)
+        blocks[level][parent].append(nid)
+    return colors, (pos, neg, blocks)
 
 
 def from_columns(cls, *columns) -> tuple:
@@ -190,19 +218,7 @@ def validate_map(nodes: Iterable | ConceptMap, subject: str = "untitled") -> Con
     UnknownParentError, CycleError, or RootCountError.
     """
     cmap = copy(nodes) if isinstance(nodes, ConceptMap) else ConceptMap(subject, starmap(MapNode, nodes))
-    ids, parents = cmap.ids, cmap.parents
-    # Listed parent first, with no repeated id and one root, a map is a tree.
-    depth = {None: -1}
-    try:
-        for nid, parent in zip(ids, parents):
-            depth[nid] = depth[parent] + 1
-    except KeyError:  # a parent not listed before its child
-        depth = {}
-    if len(depth) > len(ids) and parents.count(None) == 1:
-        del depth[None]
-        cmap.depth = depth
-        return cmap
-    parent_of = cmap.parent_of
+    ids, parents, parent_of = cmap.ids, cmap.parents, cmap.parent_of
     if not ids:
         raise RootCountError("map has no nodes")
     if len(parent_of) != len(ids):
@@ -250,15 +266,14 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     root, student_root = ids[root_index], student.ids[student.parents.index(None)]
     if root != student_root:
         raise RootMismatchError(f"root ids differ: teacher {root!r}, student {student_root!r}")
-    depth = teacher.depth
-    in_teacher = teacher.parent_of if depth is None else depth
-    extra_ids = tuple(filterfalse(in_teacher.__contains__, student.ids))
+    extra_ids = tuple(filterfalse(teacher.parent_of.__contains__, student.ids))
     extra_parents = tuple(map(student_parent.__getitem__, extra_ids))
     merged_ids, merged_parents = ids + extra_ids, parents + extra_parents
-    if depth is not None and student.depth is not None:
+    if teacher.depth is not None and student.depth is not None:
         # Two validated trees with one root: no parent is an orphan, teacher
         # nodes keep their depths, and a student-only node climbs without a
         # cycle to a teacher node, whose depth seeds the walk.
+        depth = teacher.depth
         extra = {parent: depth[parent] for parent in extra_parents if parent in depth}
         _walk_depths(dict(zip(extra_ids, extra_parents)), extra)
         levels = (*map(depth.__getitem__, ids), *map(extra.__getitem__, extra_ids))
@@ -276,24 +291,12 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
             unreachable = [nid for nid in merged_ids if nid not in depth]
             raise CycleError(f"nodes unreachable from the root: {unreachable}")
         levels = tuple(map(depth.__getitem__, merged_ids))
-    # One pass colours the nodes and fills `_by_level`: per level, in node
-    # order, green ids, red ids and {parent: [children]}.  A student-only node
-    # is green (its parent is the student's); the root, alone at level 0, red.
+    # A node is green when the student has it under its merged parent, so a
+    # student-only node is; the pass that colours the nodes also buckets them.
     top = max(levels)
-    pos, neg = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
-    blocks = [defaultdict(list) for _ in range(top + 1)]
-    colors: list[NodeColor | None] = []
-    green, red, color, student_parent_of = NodeColor.GREEN, NodeColor.RED, colors.append, student_parent.get
-    for nid, parent, level in zip(merged_ids, merged_parents, levels):
-        if student_parent_of(nid) == parent:
-            color(green)
-            pos[level].append(nid)
-        else:
-            color(red)
-            neg[level].append(nid)
-        blocks[level][parent].append(nid)
+    colors, by_level = _color_levels(merged_ids, merged_parents, levels, top,
+                                     map(eq, map(student_parent.get, merged_ids), merged_parents))
     colors[root_index] = None
-    pos[0], neg[0] = [], [ids[root_index]]
     imap = IntegratedMap(teacher.subject, merged_ids, merged_parents, levels, tuple(colors))
-    imap.__dict__.update(_by_level=(pos, neg, blocks), max_level=top)
+    imap.__dict__.update(_by_level=by_level, max_level=top)
     return imap

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from collections import defaultdict, deque
+from dataclasses import replace
 from itertools import repeat
 from operator import eq
 from unittest.mock import ANY
@@ -22,6 +23,7 @@ from hypothesis import example, given, settings
 from conftest import levels_of
 from roughmap.conceptmap import (
     ConceptMap,
+    IntegratedMap,
     MapNode,
     NodeColor,
     _walk_depths,
@@ -187,10 +189,11 @@ def reference_membership(blocks, green) -> tuple:
 
 
 def ordered(by_level) -> tuple:
-    """Buckets with each level's blocks as (parent, children) pairs, so that
-    comparing two also compares the order of their parents."""
+    """Buckets of levels 1 and up, which analysis reads, with each level's
+    blocks as (parent, children) pairs, so that comparing two also compares
+    the order of their parents."""
     pos, neg, blocks = by_level
-    return pos, neg, [list(level.items()) for level in blocks]
+    return pos[1:], neg[1:], [list(level.items()) for level in blocks[1:]]
 
 
 def outcome(fn, *args):
@@ -375,9 +378,8 @@ class TestCarriedDepths:
 
 
 class TestOnePass:
-    """Validation of a parent-first map and the colour-and-level pass of
-    `integrate` against the references, and the unchecked membership count
-    of `analyze` against the checked one."""
+    """The colour-and-level pass of `integrate` against the references, and
+    the unchecked membership count of `analyze` against the checked one."""
 
     @settings(max_examples=300, deadline=None)
     @given(teacher_student_pairs(max_nodes=15, max_extras=6), st.data())
@@ -405,20 +407,18 @@ class TestOnePass:
             assert [(r.overlap, r.child_count) for r in records] == list(expected)
 
     @settings(max_examples=200, deadline=None)
-    @given(concept_maps(max_nodes=12), st.data())
-    def test_parent_first_builds_no_parent_dict(self, tree, data):
-        """A map listed parent first is validated by the one pass; the
-        student side of `integrate` builds its parent dict, the teacher's
-        never is."""
-        nodes = data.draw(st.permutations(tree.nodes))
-        parent_first = all(parent in {n.id for n in nodes[:i]}
-                           for i, (_, parent, _) in enumerate(nodes) if parent is not None)
-        teacher, student = validate_map(tree.nodes), validate_map(nodes)
-        assert "parent_of" not in vars(teacher)
-        assert ("parent_of" in vars(student)) is not parent_first
-        assert student.depth == teacher.depth
-        integrate(teacher, student)
-        assert "parent_of" not in vars(teacher) and "parent_of" in vars(student)
+    @given(teacher_student_pairs(max_nodes=15, max_extras=6))
+    def test_map_not_made_by_integrate(self, pair):
+        """A map constructed from columns, or copied by `dataclasses.replace`,
+        buckets its nodes on first read as `integrate` does."""
+        imap = integrate(*pair)
+        columns = (imap.subject, imap.ids, imap.parents, imap.levels, imap.colors)
+        for other in (IntegratedMap(*columns), replace(imap)):
+            assert "_by_level" not in vars(other)
+            assert ordered(other._by_level) == ordered(imap._by_level)
+            assert other.children_of == imap.children_of
+            for levels in ("deepest", "all"):
+                assert outcome(analyze, other, levels) == outcome(analyze, imap, levels)
 
 
 SURROGATES = st.integers(0xD800, 0xDFFF).map(chr)
