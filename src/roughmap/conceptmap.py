@@ -13,9 +13,8 @@ node's depth, and only a node it leaves unresolved calls for the search for
 unknown parents.  A validated map carries its `parent_of` dict and those
 depths, and integration trusts two validated maps: it looks for no orphan
 and walks only the student-only nodes, from their teacher parents' depths.
-The pass that colours the merged nodes also buckets them by level, colour
-and parent, which gives analysis both its regions and its child blocks; a
-map made other than by `integrate` buckets its nodes on first read.  The
+The pass that colours the merged nodes also buckets them by level for
+analysis (a map built otherwise buckets its nodes on first read).  The
 `nodes` rows and `children_of` are built on first read, so a CLI run builds
 neither.
 """
@@ -143,9 +142,8 @@ class IntegratedMap:
 
 
 def _color_levels(ids, parents, levels, top: int, greens: Iterable[bool]) -> tuple[list, tuple]:
-    """Each node's colour, green or red as `greens` says, and the nodes of
-    each level 0..top, in node order: green ids, red ids and
-    ``{parent: [children]}``."""
+    """Each node's colour, green or red as `greens` says, and per level 0..top,
+    in node order: green ids, red ids and ``{parent: [children]}``."""
     pos, neg = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
     blocks = [defaultdict(list) for _ in range(top + 1)]
     colors: list[NodeColor | None] = []
@@ -262,8 +260,7 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     """
     ids, parents = teacher.ids, teacher.parents
     student_parent = student.parent_of
-    root_index = parents.index(None)
-    root, student_root = ids[root_index], student.ids[student.parents.index(None)]
+    root, student_root = ids[parents.index(None)], student.ids[student.parents.index(None)]
     if root != student_root:
         raise RootMismatchError(f"root ids differ: teacher {root!r}, student {student_root!r}")
     extra_ids = tuple(filterfalse(teacher.parent_of.__contains__, student.ids))
@@ -291,12 +288,11 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
             unreachable = [nid for nid in merged_ids if nid not in depth]
             raise CycleError(f"nodes unreachable from the root: {unreachable}")
         levels = tuple(map(depth.__getitem__, merged_ids))
-    # A node is green when the student has it under its merged parent, so a
-    # student-only node is; the pass that colours the nodes also buckets them.
+    # Green: the student has the node under its merged parent (every student-only node does).
     top = max(levels)
     colors, by_level = _color_levels(merged_ids, merged_parents, levels, top,
                                      map(eq, map(student_parent.get, merged_ids), merged_parents))
-    colors[root_index] = None
+    colors[parents.index(None)] = None
     imap = IntegratedMap(teacher.subject, merged_ids, merged_parents, levels, tuple(colors))
     imap.__dict__.update(_by_level=by_level, max_level=top)
     return imap
