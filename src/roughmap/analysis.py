@@ -29,7 +29,6 @@ p * 10**k // q, so no Fraction is multiplied or floored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import attrgetter, floordiv, mul, sub
@@ -90,8 +89,7 @@ class ImportanceRecord(NamedTuple):
         return truncated(self.alpha)
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     regions: tuple[LevelRegions, ...]  # deepest level first
     records: tuple[ImportanceRecord, ...]
     expected_result: Fraction  # mean of the truncated alphas

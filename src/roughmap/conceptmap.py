@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from copy import copy
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse, repeat, starmap
@@ -33,6 +32,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import (
     CycleError,
     DuplicateNodeError,
+    Frozen,
     OrphanNodeError,
     RootCountError,
     RootMismatchError,
@@ -64,7 +64,7 @@ class MapNode(NamedTuple):
     phrase: str | None = None
 
 
-class ConceptMap:
+class ConceptMap(Frozen):
     """Rooted tree of concept nodes, as `ids`, `parents` and `phrases` columns.
 
     A map from :func:`validate_map` or the file parser also carries `depth`
@@ -76,15 +76,16 @@ class ConceptMap:
     depth: dict[str, int] | None = None
 
     def __init__(self, subject: str, nodes: Iterable[MapNode]) -> None:
-        self.nodes = tuple(nodes)
-        self.subject, self.ids, self.parents, self.phrases = subject, *(
-            tuple(map(attrgetter(field), self.nodes)) for field in MapNode._fields)
+        nodes = tuple(nodes)
+        ids, parents, phrases = (tuple(map(attrgetter(field), nodes)) for field in MapNode._fields)
+        self.__dict__.update(subject=subject, nodes=nodes, ids=ids, parents=parents,
+                             phrases=phrases)
 
     @classmethod
     def of_columns(cls, subject: str, ids: tuple, parents: tuple, phrases: tuple) -> ConceptMap:
         """An unchecked map of three equal-length columns."""
         cmap = cls.__new__(cls)
-        cmap.subject, cmap.ids, cmap.parents, cmap.phrases = subject, ids, parents, phrases
+        cmap.__dict__.update(subject=subject, ids=ids, parents=parents, phrases=phrases)
         return cmap
 
     @cached_property
@@ -103,16 +104,14 @@ class IntegratedNode(NamedTuple):
     color: NodeColor | None  # None only on the root
 
 
-@dataclass(frozen=True)
-class IntegratedMap:
+class IntegratedMap(Frozen):
     """Colored merge of a teacher map and a student map, levels recomputed;
     node i is ``IntegratedNode(ids[i], parents[i], levels[i], colors[i])``."""
 
-    subject: str
-    ids: tuple[str, ...]
-    parents: tuple[str | None, ...]
-    levels: tuple[int, ...]
-    colors: tuple[NodeColor | None, ...]
+    def __init__(self, subject: str, ids: tuple[str, ...], parents: tuple[str | None, ...],
+                 levels: tuple[int, ...], colors: tuple[NodeColor | None, ...]) -> None:
+        self.__dict__.update(subject=subject, ids=ids, parents=parents, levels=levels,
+                             colors=colors)
 
     @cached_property
     def nodes(self) -> tuple[IntegratedNode, ...]:
@@ -245,7 +244,7 @@ def validate_map(nodes: Iterable | ConceptMap, subject: str = "untitled") -> Con
         roots = [nid for nid, parent in zip(ids, parents) if parent is None]
         raise RootCountError(f"multiple root nodes: {roots}")
     del depth[None]
-    cmap.depth = depth
+    cmap.__dict__["depth"] = depth
     return cmap
 
 
@@ -260,6 +259,8 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     """
     ids, parents = teacher.ids, teacher.parents
     student_parent = student.parent_of
+    if None not in parents or None not in student.parents:
+        raise RootCountError("map has no root node")
     root, student_root = ids[parents.index(None)], student.ids[student.parents.index(None)]
     if root != student_root:
         raise RootMismatchError(f"root ids differ: teacher {root!r}, student {student_root!r}")

@@ -1,9 +1,21 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the guard that keeps value classes immutable.
 
 Two branches matter to the command line: ValidationError (structurally bad
 data or a violated analysis precondition, exit status 1) and InputError
 (unreadable or malformed input files, exit status 2).
 """
+
+
+class Frozen:
+    """Base of the immutable plain classes: assigning or deleting an
+    attribute raises AttributeError.  Their constructors, and the cached
+    properties they read, fill ``__dict__`` directly."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class RoughMapError(Exception):

@@ -23,16 +23,16 @@ import gc
 import io
 import json
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, analyze
 from .conceptmap import ConceptMap, integrate, validate_map
 from .errors import (
     DuplicateRegisterError,
+    Frozen,
     InputError,
     MapFileParseError,
     RosterSchemaError,
@@ -65,8 +65,7 @@ ROSTER_COLUMNS = ("register_no", "name", "department", "semester", "subject", "m
 SUMMARY_FILENAME = "cohort_summary.csv"
 
 
-@dataclass(frozen=True)
-class RosterRecord:
+class RosterRecord(NamedTuple):
     register_no: str
     name: str
     department: str
@@ -75,29 +74,28 @@ class RosterRecord:
     map_path: str
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one run needs; exactly one of single/batch mode selected."""
+class RunConfig(Frozen):
+    """Everything one run needs; exactly one of single/batch mode selected.
+    In single mode an `out_path` of None writes to stdout; in batch mode an
+    `out_dir` of None means the current directory."""
 
-    teacher_map_path: str
-    student_map_path: str | None = None
-    roster_path: str | None = None
-    maps_dir: str | None = None
-    out_path: str | None = None  # single mode; None writes to stdout
-    out_dir: str | None = None  # batch mode; None means the current directory
-    report_format: str = "text"
-    order: str = ASCENDING
-    levels: str = DEEPEST_ONLY
-
-    def __post_init__(self) -> None:
-        if (self.student_map_path is None) == (self.roster_path is None):
+    def __init__(self, teacher_map_path: str, student_map_path: str | None = None,
+                 roster_path: str | None = None, maps_dir: str | None = None,
+                 out_path: str | None = None, out_dir: str | None = None,
+                 report_format: str = "text", order: str = ASCENDING,
+                 levels: str = DEEPEST_ONLY) -> None:
+        if (student_map_path is None) == (roster_path is None):
             raise ValueError("exactly one of student_map_path / roster_path must be set")
-        if self.report_format not in REPORT_FORMATS:
-            raise ValueError(f"unknown report format: {self.report_format!r}")
-        if self.order not in (ASCENDING, DESCENDING):
-            raise ValueError(f"order must be 'asc' or 'desc', got {self.order!r}")
-        if self.levels not in (DEEPEST_ONLY, ALL_LEVELS):
-            raise ValueError(f"levels must be 'deepest' or 'all', got {self.levels!r}")
+        if report_format not in REPORT_FORMATS:
+            raise ValueError(f"unknown report format: {report_format!r}")
+        if order not in (ASCENDING, DESCENDING):
+            raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
+        if levels not in (DEEPEST_ONLY, ALL_LEVELS):
+            raise ValueError(f"levels must be 'deepest' or 'all', got {levels!r}")
+        self.__dict__.update(
+            teacher_map_path=teacher_map_path, student_map_path=student_map_path,
+            roster_path=roster_path, maps_dir=maps_dir, out_path=out_path, out_dir=out_dir,
+            report_format=report_format, order=order, levels=levels)
 
 
 _ID, _PARENT = itemgetter("id"), itemgetter("parent")

@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress, count, repeat
@@ -56,8 +55,7 @@ DESCENDING = "desc"
 EXPECTED_RESULT_PLACES = 3
 
 
-@dataclass(frozen=True)
-class GradeBand:
+class GradeBand(NamedTuple):
     grade: str
     lower_bound_percent: int  # inclusive
 
@@ -83,8 +81,7 @@ class PlanStep(NamedTuple):
     alpha: Fraction
 
 
-@dataclass(frozen=True)
-class RemediationPlan:
+class RemediationPlan(NamedTuple):
     order: str  # "asc" | "desc"
     steps: tuple[PlanStep, ...]
 

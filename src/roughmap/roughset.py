@@ -10,12 +10,11 @@ private `_block_membership` is `rough_membership` without the checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import InvalidSubsetError, UnknownAttributeError
+from .errors import Frozen, InvalidSubsetError, UnknownAttributeError
 
 __all__ = [
     "Universe",
@@ -35,46 +34,38 @@ __all__ = [
 ElementSet = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Frozen):
     """Finite ordered collection of distinct element identifiers.
 
     Identifiers are opaque, case-sensitive strings; iteration order is the
     insertion order and is the canonical order for all derived sets.
     """
 
-    elements: ElementSet
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if len(self.element_set) == len(self.elements):
+    def __init__(self, elements: Iterable[str]) -> None:
+        elements = tuple(elements)
+        self.__dict__.update(elements=elements, element_set=frozenset(elements))
+        if len(self.element_set) == len(elements):
             return
         seen: set[str] = set()
-        for e in self.elements:
+        for e in elements:
             if e in seen:
                 raise ValueError(f"duplicate element: {e!r}")
             seen.add(e)
-
-    @cached_property
-    def element_set(self) -> frozenset[str]:
-        return frozenset(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """Pairwise-disjoint, non-empty blocks of element identifiers."""
 
-    blocks: tuple[ElementSet, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
-        if all(self.blocks) and len(self.element_set) == sum(map(len, self.blocks)):
+    def __init__(self, blocks: Iterable[Iterable[str]]) -> None:
+        blocks = tuple(map(tuple, blocks))
+        self.__dict__["blocks"] = blocks
+        if all(blocks) and len(self.element_set) == sum(map(len, blocks)):
             return
         seen: set[str] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("partition contains an empty block")
             for e in block:
@@ -87,18 +78,15 @@ class Partition:
         return frozenset(chain.from_iterable(self.blocks))
 
 
-@dataclass(frozen=True)
-class ApproximationSpace:
+class ApproximationSpace(Frozen):
     """A finite universe together with a partition of exactly its elements."""
 
-    universe: Universe
-    partition: Partition
-
-    def __post_init__(self) -> None:
-        if self.universe.element_set == self.partition.element_set:
+    def __init__(self, universe: Universe, partition: Partition) -> None:
+        self.__dict__.update(universe=universe, partition=partition)
+        if universe.element_set == partition.element_set:
             return
-        missing = self.universe.element_set - self.partition.element_set
-        stray = self.partition.element_set - self.universe.element_set
+        missing = universe.element_set - partition.element_set
+        stray = partition.element_set - universe.element_set
         if missing:
             raise ValueError(f"partition does not cover: {sorted(missing)}")
         if stray:
@@ -118,31 +106,24 @@ class ApproximationSpace:
         return space
 
 
-@dataclass(frozen=True)
-class DecisionTable:
+class DecisionTable(Frozen):
     """Objects x attributes with condition and decision feature subsets.
 
     `values` must be total: one value per (object, attribute) pair.
     """
 
-    objects: Universe
-    attributes: tuple[str, ...]
-    values: Mapping[tuple[str, str], str]
-    condition: frozenset[str]
-    decision: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        object.__setattr__(self, "values", dict(self.values))
-        object.__setattr__(self, "condition", frozenset(self.condition))
-        object.__setattr__(self, "decision", frozenset(self.decision))
+    def __init__(self, objects: Universe, attributes: Iterable[str],
+                 values: Mapping[tuple[str, str], str], condition: Iterable[str],
+                 decision: Iterable[str]) -> None:
+        self.__dict__.update(objects=objects, attributes=tuple(attributes), values=dict(values),
+                             condition=frozenset(condition), decision=frozenset(decision))
         attrs = set(self.attributes)
         if len(attrs) != len(self.attributes):
             raise ValueError("duplicate attribute names")
         for name, subset in (("condition", self.condition), ("decision", self.decision)):
             if not subset <= attrs:
                 raise ValueError(f"{name} features not among attributes: {sorted(subset - attrs)}")
-        for obj in self.objects:
+        for obj in objects:
             for attr in self.attributes:
                 if (obj, attr) not in self.values:
                     raise ValueError(f"missing value for ({obj!r}, {attr!r})")

@@ -133,6 +133,15 @@ class TestIntegrate:
         with pytest.raises(OrphanNodeError, match="GHOST"):
             integrate(teacher, student)
 
+    @pytest.mark.parametrize("rootless", ["teacher", "student"])
+    def test_map_without_root(self, rootless):
+        rooted = validate_map([("a", None), ("b", "a")])
+        # hand-built map bypassing validate_map: a cycle and no root
+        cyclic = ConceptMap(subject="s", nodes=[MapNode("a", "b"), MapNode("b", "a")])
+        pair = (cyclic, rooted) if rootless == "teacher" else (rooted, cyclic)
+        with pytest.raises(RootCountError, match="^map has no root node$"):
+            integrate(*pair)
+
     def test_phrases_do_not_affect_colors(self, teacher_map):
         relabeled = validate_map(
             [(n.id, n.parent, "re-worded") for n in teacher_map.nodes],

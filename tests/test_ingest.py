@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import time
 from collections import defaultdict, deque
-from dataclasses import replace
 from itertools import repeat
 from operator import eq
 from unittest.mock import ANY
@@ -409,11 +408,12 @@ class TestOnePass:
     @settings(max_examples=200, deadline=None)
     @given(teacher_student_pairs(max_nodes=15, max_extras=6))
     def test_map_not_made_by_integrate(self, pair):
-        """A map constructed from columns, or copied by `dataclasses.replace`,
+        """A map constructed from columns, positionally or by keyword,
         buckets its nodes on first read as `integrate` does."""
         imap = integrate(*pair)
-        columns = (imap.subject, imap.ids, imap.parents, imap.levels, imap.colors)
-        for other in (IntegratedMap(*columns), replace(imap)):
+        names = ("subject", "ids", "parents", "levels", "colors")
+        columns = [getattr(imap, name) for name in names]
+        for other in (IntegratedMap(*columns), IntegratedMap(**dict(zip(names, columns)))):
             assert "_by_level" not in vars(other)
             assert ordered(other._by_level) == ordered(imap._by_level)
             assert other.children_of == imap.children_of
