@@ -11,8 +11,8 @@ checks are set operations, and a per-node loop runs only to name an
 offender.  One memoised walk up the parent links finds cycles and gives each
 node's depth, and only a node it leaves unresolved calls for the search for
 unknown parents.  A validated map carries its `parent_of` dict and those
-depths, and integration trusts two validated maps: it looks for no orphan
-and walks only the student-only nodes, from their teacher parents' depths.
+depths; integration validates a map without them, then walks only the
+student-only nodes, from their teacher parents' depths.
 The pass that colours the merged nodes also buckets them by level for
 analysis (a map built otherwise buckets its nodes on first read).  The
 `nodes` rows and `children_of` are built on first read, so a CLI run builds
@@ -33,7 +33,6 @@ from .errors import (
     CycleError,
     DuplicateNodeError,
     Frozen,
-    OrphanNodeError,
     RootCountError,
     RootMismatchError,
     UnknownParentError,
@@ -70,7 +69,7 @@ class ConceptMap(Frozen):
     A map from :func:`validate_map` or the file parser also carries `depth`
     (node -> depth) from validation, and builds its `nodes` on first read.
     One built by hand, ``ConceptMap(subject=..., nodes=...)``, is not checked
-    and its `depth` is None.
+    and its `depth` is None; :func:`integrate` validates it first.
     """
 
     depth: dict[str, int] | None = None
@@ -170,11 +169,11 @@ def _walk_depths(parent_of: Mapping[str, str | None], depth: dict) -> list[str] 
     A node whose parent is resolved costs one lookup.  Otherwise the walk
     climbs to the nearest resolved ancestor and resolves the whole climb on
     the way back.  A climb resolves nothing, and its nodes stay out of
-    `depth`, when it meets one of its own nodes again, reaches None while
-    None is not in `depth`, reaches an unresolved id missing from
-    `parent_of`, or reaches a node that such a climb left behind.  Each node
-    is climbed through at most once.  Returns the first cycle met, closed by
-    its repeated node, or None.
+    `depth`, when it meets one of its own nodes again, reaches an unresolved
+    id missing from `parent_of` (None, unless `depth` holds it), or reaches
+    a node that such a climb left behind.  Each node is climbed through at
+    most once.  Returns the first cycle met, closed by its repeated node, or
+    None.
     """
     get = depth.get
     dead: set[str] = set()
@@ -193,7 +192,7 @@ def _walk_depths(parent_of: Mapping[str, str | None], depth: dict) -> list[str] 
                     path = list(climb)
                     cycle = path[path.index(parent):] + [parent]
                 break
-            if parent is None or parent in dead or parent not in parent_of:
+            if parent in dead or parent not in parent_of:
                 break
             climb[parent] = None
             parent = parent_of[parent]
@@ -210,9 +209,9 @@ def validate_map(nodes: Iterable | ConceptMap, subject: str = "untitled") -> Con
     """Check the rooted-tree invariants and return a validated map.
 
     Accepts MapNode instances, (id, parent) / (id, parent, phrase) tuples, or
-    an unchecked ConceptMap (the file parser's columns), whose copy keeps its
-    subject and gains `depth`.  Raises DuplicateNodeError,
-    UnknownParentError, CycleError, or RootCountError.
+    an unchecked ConceptMap (the file parser's columns or a hand-built map),
+    whose copy keeps its subject and gains `depth`.  Raises
+    DuplicateNodeError, UnknownParentError, CycleError, or RootCountError.
     """
     cmap = copy(nodes) if isinstance(nodes, ConceptMap) else ConceptMap(subject, starmap(MapNode, nodes))
     ids, parents, parent_of = cmap.ids, cmap.parents, cmap.parent_of
@@ -249,7 +248,8 @@ def validate_map(nodes: Iterable | ConceptMap, subject: str = "untitled") -> Con
 
 
 def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
-    """Merge the two maps into one colored tree.
+    """Merge the two maps into one colored tree; a map without `depth` is
+    first checked by :func:`validate_map` and raises its errors.
 
     The node set is the union of both maps by id.  Shared and teacher-only
     nodes keep the teacher's structure; such a node is green when the student
@@ -257,38 +257,22 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     nodes attach under their declared parent and are green.  Levels are
     recomputed on the merged tree.
     """
+    teacher, student = (m if m.depth is not None else validate_map(m) for m in (teacher, student))
     ids, parents = teacher.ids, teacher.parents
     student_parent = student.parent_of
-    if None not in parents or None not in student.parents:
-        raise RootCountError("map has no root node")
     root, student_root = ids[parents.index(None)], student.ids[student.parents.index(None)]
     if root != student_root:
         raise RootMismatchError(f"root ids differ: teacher {root!r}, student {student_root!r}")
     extra_ids = tuple(filterfalse(teacher.parent_of.__contains__, student.ids))
     extra_parents = tuple(map(student_parent.__getitem__, extra_ids))
     merged_ids, merged_parents = ids + extra_ids, parents + extra_parents
-    if teacher.depth is not None and student.depth is not None:
-        # Two validated trees with one root: no parent is an orphan, teacher
-        # nodes keep their depths, and a student-only node climbs without a
-        # cycle to a teacher node, whose depth seeds the walk.
-        depth = teacher.depth
-        extra = {parent: depth[parent] for parent in extra_parents if parent in depth}
-        _walk_depths(dict(zip(extra_ids, extra_parents)), extra)
-        levels = (*map(depth.__getitem__, ids), *map(extra.__getitem__, extra_ids))
-    else:
-        orphans = set(merged_parents).difference(teacher.parent_of, student_parent, (None,))
-        if orphans:
-            nid, parent = next((n, p) for n, p in zip(merged_ids, merged_parents) if p in orphans)
-            raise OrphanNodeError(f"node {nid!r} has parent {parent!r} present in neither map")
-        # A map built by hand may hold cycles, unknown parents or several
-        # roots: walk the whole merged tree from the last root listed.
-        root = [nid for nid, parent in zip(merged_ids, merged_parents) if parent is None][-1]
-        depth = {root: 0}
-        _walk_depths(dict(zip(merged_ids, merged_parents)), depth)
-        if len(depth) != len(merged_ids):
-            unreachable = [nid for nid in merged_ids if nid not in depth]
-            raise CycleError(f"nodes unreachable from the root: {unreachable}")
-        levels = tuple(map(depth.__getitem__, merged_ids))
+    # Two validated trees with one root: no parent is an orphan, teacher
+    # nodes keep their depths, and a student-only node climbs without a
+    # cycle to a teacher node, whose depth seeds the walk.
+    depth = teacher.depth
+    extra = {parent: depth[parent] for parent in extra_parents if parent in depth}
+    _walk_depths(dict(zip(extra_ids, extra_parents)), extra)
+    levels = (*map(depth.__getitem__, ids), *map(extra.__getitem__, extra_ids))
     # Green: the student has the node under its merged parent (every student-only node does).
     top = max(levels)
     colors, by_level = _color_levels(merged_ids, merged_parents, levels, top,

@@ -66,10 +66,6 @@ class RootMismatchError(ValidationError):
     """Teacher and student maps disagree on the root concept."""
 
 
-class OrphanNodeError(ValidationError):
-    """Student-only node whose parent exists in neither map."""
-
-
 # analysis layer
 
 class NothingToAnalyzeError(ValidationError):

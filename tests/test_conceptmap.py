@@ -13,7 +13,6 @@ from roughmap.conceptmap import (
 from roughmap.errors import (
     CycleError,
     DuplicateNodeError,
-    OrphanNodeError,
     RootCountError,
     RootMismatchError,
     UnknownParentError,
@@ -125,12 +124,22 @@ class TestIntegrate:
 
     def test_orphan_student_node(self):
         teacher = validate_map([("S1", None), ("U1", "S1")])
-        # hand-built invalid map bypassing validate_map
+        # hand-built invalid map bypassing validate_map: integrate validates it
         student = ConceptMap(
             subject="x",
             nodes=(MapNode("S1", None), MapNode("W", "GHOST")),
         )
-        with pytest.raises(OrphanNodeError, match="GHOST"):
+        with pytest.raises(UnknownParentError,
+                           match="^node 'W' references unknown parent 'GHOST'$"):
+            integrate(teacher, student)
+
+    def test_student_tree_only_with_teacher_map(self):
+        """A node under a teacher-only parent that the student omitted is
+        refused, as it is in a map file."""
+        teacher = validate_map([("S1", None), ("U1", "S1"), ("U2", "S1")])
+        student = ConceptMap(subject="x", nodes=(MapNode("S1", None), MapNode("W", "U2")))
+        with pytest.raises(UnknownParentError,
+                           match="^node 'W' references unknown parent 'U2'$"):
             integrate(teacher, student)
 
     @pytest.mark.parametrize("rootless", ["teacher", "student"])
@@ -139,7 +148,15 @@ class TestIntegrate:
         # hand-built map bypassing validate_map: a cycle and no root
         cyclic = ConceptMap(subject="s", nodes=[MapNode("a", "b"), MapNode("b", "a")])
         pair = (cyclic, rooted) if rootless == "teacher" else (rooted, cyclic)
-        with pytest.raises(RootCountError, match="^map has no root node$"):
+        with pytest.raises(CycleError, match="^cycle among nodes: a -> b -> a$"):
+            integrate(*pair)
+
+    @pytest.mark.parametrize("side", ["teacher", "student"])
+    def test_map_with_two_roots(self, side):
+        rooted = validate_map([("a", None), ("b", "a")])
+        two_roots = ConceptMap(subject="s", nodes=[MapNode("a", None), MapNode("c", None)])
+        pair = (two_roots, rooted) if side == "teacher" else (rooted, two_roots)
+        with pytest.raises(RootCountError, match=r"^multiple root nodes: \['a', 'c'\]$"):
             integrate(*pair)
 
     def test_phrases_do_not_affect_colors(self, teacher_map):

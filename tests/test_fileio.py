@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import csv
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import DATA_DIR, by_id
 from roughmap.conceptmap import integrate
@@ -9,6 +13,7 @@ from roughmap.errors import (
     DuplicateRegisterError,
     MapFileParseError,
     RosterSchemaError,
+    RoughMapError,
 )
 from roughmap.fileio import (
     RunConfig,
@@ -97,6 +102,43 @@ class TestParseRoster:
         )
         with pytest.raises(RosterSchemaError, match="line 2"):
             parse_roster(path)
+
+
+ROSTER_HEADER = "register_no,name,department,semester,subject,map_path\n"
+# CSV's own syntax, path separators and a NUL, beside any other character.
+CSV_TEXT = st.text(st.sampled_from(',"\r\n\x00/\\. R1') | st.characters(codec="utf-8"), max_size=80)
+# The name cell of line 3 is one character longer than csv allows.
+OVER_LIMIT = (f"{ROSTER_HEADER}R1,a,d,s,sub,m.json\n"
+              f"R2,{'x' * (csv.field_size_limit() + 1)},d,s,sub,m.json\n")
+
+
+@pytest.fixture(scope="module")
+def roster_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "roster.csv"
+
+
+class TestRosterFuzz:
+    """Any roster file either parses or raises a RoughMapError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=120) | CSV_TEXT.map(lambda text: (ROSTER_HEADER + text).encode()))
+    def test_any_bytes(self, roster_file, data):
+        roster_file.write_bytes(data)
+        try:
+            parse_roster(roster_file)
+        except RoughMapError:
+            pass
+
+    def test_field_over_the_csv_limit(self, roster_file):
+        roster_file.write_text(OVER_LIMIT)
+        with pytest.raises(RosterSchemaError) as info:
+            parse_roster(roster_file)
+        limit = csv.field_size_limit()
+        assert str(info.value) == f"{roster_file}: line 3: field larger than field limit ({limit})"
+
+    def test_nul_in_a_cell_is_data(self, roster_file):
+        roster_file.write_text(f"{ROSTER_HEADER}R1,a\x00b,d,s,sub,m.json\n")
+        assert [r.name for r in parse_roster(roster_file)] == ["a\x00b"]
 
 
 class TestRunConfig:
