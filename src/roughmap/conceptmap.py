@@ -13,10 +13,9 @@ node's depth, and only a node it leaves unresolved calls for the search for
 unknown parents.  A validated map carries its `parent_of` dict and those
 depths; integration validates a map without them, then walks only the
 student-only nodes, from their teacher parents' depths.
-The pass that colours the merged nodes also buckets them by level for
-analysis (a map built otherwise buckets its nodes on first read).  The
-`nodes` rows and `children_of` are built on first read, so a CLI run builds
-neither.
+An integrated map buckets its nodes by level for analysis when it is made.
+The `nodes` rows and `children_of` are built on first read, so a CLI run
+builds neither.
 """
 
 from __future__ import annotations
@@ -26,13 +25,14 @@ from copy import copy
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse, repeat, starmap
-from operator import attrgetter, eq, is_
+from operator import attrgetter, eq
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     CycleError,
     DuplicateNodeError,
     Frozen,
+    MapValidationError,
     RootCountError,
     RootMismatchError,
     UnknownParentError,
@@ -68,8 +68,9 @@ class ConceptMap(Frozen):
 
     A map from :func:`validate_map` or the file parser also carries `depth`
     (node -> depth) from validation, and builds its `nodes` on first read.
-    One built by hand, ``ConceptMap(subject=..., nodes=...)``, is not checked
-    and its `depth` is None; :func:`integrate` validates it first.
+    One built by hand, ``ConceptMap(subject=..., nodes=...)``, must have string
+    ids but is not otherwise checked, and its `depth` is None; :func:`integrate`
+    validates it first.
     """
 
     depth: dict[str, int] | None = None
@@ -77,6 +78,9 @@ class ConceptMap(Frozen):
     def __init__(self, subject: str, nodes: Iterable[MapNode]) -> None:
         nodes = tuple(nodes)
         ids, parents, phrases = (tuple(map(attrgetter(field), nodes)) for field in MapNode._fields)
+        for nid in ids:
+            if not isinstance(nid, str):
+                raise MapValidationError(f"node id must be a string: {nid!r}")
         self.__dict__.update(subject=subject, nodes=nodes, ids=ids, parents=parents,
                              phrases=phrases)
 
@@ -105,12 +109,27 @@ class IntegratedNode(NamedTuple):
 
 class IntegratedMap(Frozen):
     """Colored merge of a teacher map and a student map, levels recomputed;
-    node i is ``IntegratedNode(ids[i], parents[i], levels[i], colors[i])``."""
+    node i is ``IntegratedNode(ids[i], parents[i], levels[i], colors[i])``.
+
+    `_by_level` holds, per level 0..`max_level` in node order: green ids, red
+    ids (the root among them), and ids grouped under their parents
+    (``{parent: [children]}``).
+    """
 
     def __init__(self, subject: str, ids: tuple[str, ...], parents: tuple[str | None, ...],
                  levels: tuple[int, ...], colors: tuple[NodeColor | None, ...]) -> None:
+        top = max(levels)
+        pos, neg = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
+        blocks = [defaultdict(list) for _ in range(top + 1)]
+        green = NodeColor.GREEN
+        for nid, parent, level, color in zip(ids, parents, levels, colors):
+            if color is green:
+                pos[level].append(nid)
+            else:
+                neg[level].append(nid)
+            blocks[level][parent].append(nid)
         self.__dict__.update(subject=subject, ids=ids, parents=parents, levels=levels,
-                             colors=colors)
+                             colors=colors, max_level=top, _by_level=(pos, neg, blocks))
 
     @cached_property
     def nodes(self) -> tuple[IntegratedNode, ...]:
@@ -126,35 +145,6 @@ class IntegratedMap(Frozen):
         for blocks in self._by_level[2][1:]:
             children.update(zip(blocks, map(tuple, blocks.values())))
         return children
-
-    @cached_property
-    def max_level(self) -> int:
-        return max(self.levels)
-
-    @cached_property
-    def _by_level(self) -> tuple[list, list, list]:
-        """Per level, in node order: green ids, red ids, and ids grouped under
-        their parents (``{parent: [children]}``).  `integrate` fills it."""
-        greens = map(is_, self.colors, repeat(NodeColor.GREEN))
-        return _color_levels(self.ids, self.parents, self.levels, self.max_level, greens)[1]
-
-
-def _color_levels(ids, parents, levels, top: int, greens: Iterable[bool]) -> tuple[list, tuple]:
-    """Each node's colour, green or red as `greens` says, and per level 0..top,
-    in node order: green ids, red ids and ``{parent: [children]}``."""
-    pos, neg = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
-    blocks = [defaultdict(list) for _ in range(top + 1)]
-    colors: list[NodeColor | None] = []
-    green, red, color = NodeColor.GREEN, NodeColor.RED, colors.append
-    for nid, parent, level, is_green in zip(ids, parents, levels, greens):
-        if is_green:
-            color(green)
-            pos[level].append(nid)
-        else:
-            color(red)
-            neg[level].append(nid)
-        blocks[level][parent].append(nid)
-    return colors, (pos, neg, blocks)
 
 
 def from_columns(cls, *columns) -> tuple:
@@ -274,10 +264,8 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     _walk_depths(dict(zip(extra_ids, extra_parents)), extra)
     levels = (*map(depth.__getitem__, ids), *map(extra.__getitem__, extra_ids))
     # Green: the student has the node under its merged parent (every student-only node does).
-    top = max(levels)
-    colors, by_level = _color_levels(merged_ids, merged_parents, levels, top,
-                                     map(eq, map(student_parent.get, merged_ids), merged_parents))
+    green, red = NodeColor.GREEN, NodeColor.RED
+    colors = [green if same else red
+              for same in map(eq, map(student_parent.get, merged_ids), merged_parents)]
     colors[parents.index(None)] = None
-    imap = IntegratedMap(teacher.subject, merged_ids, merged_parents, levels, tuple(colors))
-    imap.__dict__.update(_by_level=by_level, max_level=top)
-    return imap
+    return IntegratedMap(teacher.subject, merged_ids, merged_parents, levels, tuple(colors))

@@ -94,16 +94,9 @@ class ApproximationSpace(Frozen):
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[str]]) -> "ApproximationSpace":
-        """Build a space whose universe is the blocks' elements in block order.
-        That universe shares the element set of the partition just checked,
-        and neither it nor the space is checked again."""
-        partition = Partition(tuple(blocks))
-        universe = object.__new__(Universe)
-        universe.__dict__.update(elements=tuple(chain.from_iterable(partition.blocks)),
-                                 element_set=partition.element_set)
-        space = object.__new__(cls)
-        space.__dict__.update(universe=universe, partition=partition)
-        return space
+        """Build a space whose universe is the blocks' elements in block order."""
+        partition = Partition(blocks)
+        return cls(Universe(chain.from_iterable(partition.blocks)), partition)
 
 
 class DecisionTable(Frozen):

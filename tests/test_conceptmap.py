@@ -13,6 +13,7 @@ from roughmap.conceptmap import (
 from roughmap.errors import (
     CycleError,
     DuplicateNodeError,
+    MapValidationError,
     RootCountError,
     RootMismatchError,
     UnknownParentError,
@@ -48,6 +49,13 @@ class TestValidateMap:
     def test_empty_input(self):
         with pytest.raises(RootCountError):
             validate_map([])
+
+    @pytest.mark.parametrize("nid", [None, 5])
+    def test_non_string_id(self, nid):
+        """Refused with one line naming the id; a None id used to be dropped
+        from `depth`, and `integrate` then raised a bare KeyError."""
+        with pytest.raises(MapValidationError, match=f"^node id must be a string: {nid!r}$"):
+            validate_map([("S1", None), (nid, "S1")])
 
     def test_accepts_phrases_and_map_nodes(self):
         cmap = validate_map([("S1", None, None), ("U1", "S1", "part of"),

@@ -182,12 +182,17 @@ def reference_membership(blocks, green) -> tuple:
     return rough_membership(ApproximationSpace.from_blocks(blocks), green)
 
 
-def ordered(by_level) -> tuple:
-    """Buckets of levels 1 and up, which analysis reads, with each level's
-    blocks as (parent, children) pairs, so that comparing two also compares
-    the order of their parents."""
+def every_level(by_level) -> tuple:
+    """Buckets of every level, level 0 included, with each level's blocks as
+    (parent, children) pairs, so that comparing two also compares the order
+    of their parents."""
     pos, neg, blocks = by_level
-    return pos[1:], neg[1:], [list(level.items()) for level in blocks[1:]]
+    return pos, neg, [list(level.items()) for level in blocks]
+
+
+def ordered(by_level) -> tuple:
+    """Buckets of levels 1 and up, which analysis reads."""
+    return tuple(column[1:] for column in every_level(by_level))
 
 
 def outcome(fn, *args):
@@ -408,14 +413,21 @@ class TestOnePass:
     @settings(max_examples=200, deadline=None)
     @given(teacher_student_pairs(max_nodes=15, max_extras=6))
     def test_map_not_made_by_integrate(self, pair):
-        """A map constructed from columns, positionally or by keyword,
-        buckets its nodes on first read as `integrate` does."""
+        """A map constructed from `integrate`'s columns, positionally or by
+        keyword, is bucketed when it is made, and its buckets equal
+        `integrate`'s at every level, level 0 (the root, red, under None)
+        included."""
         imap = integrate(*pair)
         names = ("subject", "ids", "parents", "levels", "colors")
         columns = [getattr(imap, name) for name in names]
+        root = imap.ids[imap.parents.index(None)]
+        expected = every_level(reference_by_level(imap))
+        assert expected[1][0] == [root] and expected[2][0] == [(None, [root])]
+        assert every_level(imap._by_level) == expected
         for other in (IntegratedMap(*columns), IntegratedMap(**dict(zip(names, columns)))):
-            assert "_by_level" not in vars(other)
-            assert ordered(other._by_level) == ordered(imap._by_level)
+            assert {"_by_level", "max_level"} <= vars(other).keys()
+            assert other.max_level == imap.max_level == max(imap.levels)
+            assert every_level(other._by_level) == every_level(imap._by_level)
             assert other.children_of == imap.children_of
             for levels in ("deepest", "all"):
                 assert outcome(analyze, other, levels) == outcome(analyze, imap, levels)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -133,6 +134,24 @@ class TestIsExact:
         assert not is_exact(space, {"x1", "x3"})
         assert lower_approximation(space, {"x1", "x3"}) == ("x3",)
         assert upper_approximation(space, {"x1", "x3"}) == ("x1", "x2", "x3")
+
+
+class TestFromBlocks:
+    def test_universe_in_block_order(self):
+        space = ApproximationSpace.from_blocks(iter([("x3", "x1"), ["x2"]]))
+        assert space.universe.elements == ("x3", "x1", "x2")
+        assert space.partition.blocks == (("x3", "x1"), ("x2",))
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([("a", "b"), ("b", "c")], "element in more than one block: 'b'"),
+        ([("a", "a")], "element in more than one block: 'a'"),
+        ([("a",), ()], "partition contains an empty block"),
+    ])
+    def test_partition_errors(self, blocks, message):
+        """The partition's check runs first, so `Universe`'s "duplicate
+        element" never surfaces."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ApproximationSpace.from_blocks(blocks)
 
 
 class TestOrdering:
