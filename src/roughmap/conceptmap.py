@@ -8,11 +8,11 @@ map).
 
 Maps are held as columns (ids, parents, and phrases or levels and colors):
 checks are set operations, and a per-node loop runs only to name an
-offender.  One memoised walk up the parent links finds cycles and gives each
-node's depth, and only a node it leaves unresolved calls for the search for
-unknown parents.  A validated map carries its `parent_of` dict and those
-depths; integration validates a map without them, then walks only the
-student-only nodes, from their teacher parents' depths.
+offender.  A map is checked when it is made.  One memoised walk up the
+parent links finds cycles and gives each node's depth, and only a node it
+leaves unresolved calls for the search for unknown parents.  Every map
+carries its `parent_of` dict and those depths, so integration walks only
+the student-only nodes, from their teacher parents' depths.
 An integrated map buckets its nodes by level for analysis when it is made.
 The `nodes` rows and `children_of` are built on first read, so a CLI run
 builds neither.
@@ -21,7 +21,6 @@ builds neither.
 from __future__ import annotations
 
 from collections import defaultdict
-from copy import copy
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse, repeat, starmap
@@ -66,14 +65,10 @@ class MapNode(NamedTuple):
 class ConceptMap(Frozen):
     """Rooted tree of concept nodes, as `ids`, `parents` and `phrases` columns.
 
-    A map from :func:`validate_map` or the file parser also carries `depth`
-    (node -> depth) from validation, and builds its `nodes` on first read.
-    One built by hand, ``ConceptMap(subject=..., nodes=...)``, must have string
-    ids but is not otherwise checked, and its `depth` is None; :func:`integrate`
-    validates it first.
+    The tree is checked when the map is made, with :func:`validate_map`'s
+    errors, and the map carries `parent_of` (node -> parent) and `depth`
+    (node -> depth).  The file parser's map builds its `nodes` on first read.
     """
-
-    depth: dict[str, int] | None = None
 
     def __init__(self, subject: str, nodes: Iterable[MapNode]) -> None:
         nodes = tuple(nodes)
@@ -83,21 +78,52 @@ class ConceptMap(Frozen):
                 raise MapValidationError(f"node id must be a string: {nid!r}")
         self.__dict__.update(subject=subject, nodes=nodes, ids=ids, parents=parents,
                              phrases=phrases)
+        self._check()
 
     @classmethod
-    def of_columns(cls, subject: str, ids: tuple, parents: tuple, phrases: tuple) -> ConceptMap:
-        """An unchecked map of three equal-length columns."""
+    def _of_columns(cls, subject: str, ids: tuple, parents: tuple, phrases: tuple) -> ConceptMap:
+        """An unchecked map of three equal-length columns; :func:`validate_map` checks it."""
         cmap = cls.__new__(cls)
         cmap.__dict__.update(subject=subject, ids=ids, parents=parents, phrases=phrases)
         return cmap
 
+    def _check(self) -> None:
+        """Check the rooted-tree invariants and store `parent_of` and `depth`."""
+        ids, parents = self.ids, self.parents
+        parent_of = dict(zip(ids, parents))
+        if not ids:
+            raise RootCountError("map has no nodes")
+        if len(parent_of) != len(ids):
+            seen: set[str] = set()
+            for nid in ids:
+                if nid in seen:
+                    raise DuplicateNodeError(f"duplicate node id: {nid!r}")
+                seen.add(nid)
+        # The walk resolves every node only when no parent is unknown and there
+        # is no cycle; only a node it leaves unresolved needs either check.
+        depth = {None: -1}
+        cycle = _walk_depths(parent_of, depth)
+        if len(depth) <= len(ids):
+            unknown = set(parents).difference(parent_of, (None,))
+            if unknown:
+                nid, parent = next((n, p) for n, p in zip(ids, parents) if p in unknown)
+                raise UnknownParentError(f"node {nid!r} references unknown parent {parent!r}")
+        # Cycles are checked before the root count: a rootless input such as
+        # {A->B, B->A} is better reported as the cycle it actually contains.
+        if cycle is not None:
+            raise CycleError("cycle among nodes: " + " -> ".join(cycle))
+        root_count = parents.count(None)
+        if not root_count:
+            raise RootCountError("map has no root node")
+        if root_count > 1:
+            roots = [nid for nid, parent in zip(ids, parents) if parent is None]
+            raise RootCountError(f"multiple root nodes: {roots}")
+        del depth[None]
+        self.__dict__.update(parent_of=parent_of, depth=depth)
+
     @cached_property
     def nodes(self) -> tuple[MapNode, ...]:
         return from_columns(MapNode, self.ids, self.parents, self.phrases)
-
-    @cached_property
-    def parent_of(self) -> dict[str, str | None]:
-        return dict(zip(self.ids, self.parents))
 
 
 class IntegratedNode(NamedTuple):
@@ -118,6 +144,10 @@ class IntegratedMap(Frozen):
 
     def __init__(self, subject: str, ids: tuple[str, ...], parents: tuple[str | None, ...],
                  levels: tuple[int, ...], colors: tuple[NodeColor | None, ...]) -> None:
+        lengths = [len(ids), len(parents), len(levels), len(colors)]
+        if not ids or lengths.count(lengths[0]) < 4:
+            raise ValueError("ids, parents, levels and colors must be non-empty columns of one "
+                             f"length, got lengths {lengths}")
         top = max(levels)
         pos, neg = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
         blocks = [defaultdict(list) for _ in range(top + 1)]
@@ -196,50 +226,20 @@ def _walk_depths(parent_of: Mapping[str, str | None], depth: dict) -> list[str] 
 
 
 def validate_map(nodes: Iterable | ConceptMap, subject: str = "untitled") -> ConceptMap:
-    """Check the rooted-tree invariants and return a validated map.
-
-    Accepts MapNode instances, (id, parent) / (id, parent, phrase) tuples, or
-    an unchecked ConceptMap (the file parser's columns or a hand-built map),
-    whose copy keeps its subject and gains `depth`.  Raises
+    """A checked map of `nodes`: MapNode instances or (id, parent) /
+    (id, parent, phrase) tuples, or a ConceptMap, which comes back itself
+    (the file parser's is checked first).  Raises MapValidationError,
     DuplicateNodeError, UnknownParentError, CycleError, or RootCountError.
     """
-    cmap = copy(nodes) if isinstance(nodes, ConceptMap) else ConceptMap(subject, starmap(MapNode, nodes))
-    ids, parents, parent_of = cmap.ids, cmap.parents, cmap.parent_of
-    if not ids:
-        raise RootCountError("map has no nodes")
-    if len(parent_of) != len(ids):
-        seen: set[str] = set()
-        for nid in ids:
-            if nid in seen:
-                raise DuplicateNodeError(f"duplicate node id: {nid!r}")
-            seen.add(nid)
-    # The walk resolves every node only when no parent is unknown and there
-    # is no cycle; only a node it leaves unresolved needs either check.
-    depth = {None: -1}
-    cycle = _walk_depths(parent_of, depth)
-    if len(depth) <= len(ids):
-        unknown = set(parents).difference(parent_of, (None,))
-        if unknown:
-            nid, parent = next((n, p) for n, p in zip(ids, parents) if p in unknown)
-            raise UnknownParentError(f"node {nid!r} references unknown parent {parent!r}")
-    # Cycles are checked before the root count: a rootless input such as
-    # {A->B, B->A} is better reported as the cycle it actually contains.
-    if cycle is not None:
-        raise CycleError("cycle among nodes: " + " -> ".join(cycle))
-    root_count = parents.count(None)
-    if not root_count:
-        raise RootCountError("map has no root node")
-    if root_count > 1:
-        roots = [nid for nid, parent in zip(ids, parents) if parent is None]
-        raise RootCountError(f"multiple root nodes: {roots}")
-    del depth[None]
-    cmap.__dict__["depth"] = depth
-    return cmap
+    if not isinstance(nodes, ConceptMap):
+        return ConceptMap(subject, starmap(MapNode, nodes))
+    if "depth" not in vars(nodes):
+        nodes._check()
+    return nodes
 
 
 def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
-    """Merge the two maps into one colored tree; a map without `depth` is
-    first checked by :func:`validate_map` and raises its errors.
+    """Merge the two maps into one colored tree.
 
     The node set is the union of both maps by id.  Shared and teacher-only
     nodes keep the teacher's structure; such a node is green when the student
@@ -247,7 +247,6 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     nodes attach under their declared parent and are green.  Levels are
     recomputed on the merged tree.
     """
-    teacher, student = (m if m.depth is not None else validate_map(m) for m in (teacher, student))
     ids, parents = teacher.ids, teacher.parents
     student_parent = student.parent_of
     root, student_root = ids[parents.index(None)], student.ids[student.parents.index(None)]
@@ -256,7 +255,7 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     extra_ids = tuple(filterfalse(teacher.parent_of.__contains__, student.ids))
     extra_parents = tuple(map(student_parent.__getitem__, extra_ids))
     merged_ids, merged_parents = ids + extra_ids, parents + extra_parents
-    # Two validated trees with one root: no parent is an orphan, teacher
+    # Two checked trees with one root: no parent is an orphan, teacher
     # nodes keep their depths, and a student-only node climbs without a
     # cycle to a teacher node, whose depth seeds the walk.
     depth = teacher.depth

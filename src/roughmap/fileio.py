@@ -26,7 +26,7 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 from .analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, analyze
 from .conceptmap import ConceptMap, integrate, validate_map
@@ -150,7 +150,7 @@ def parse_concept_map(text: str | bytes, source: str = "<string>") -> ConceptMap
     subject = doc.get("subject", "untitled")
     if not isinstance(subject, str):
         raise MapFileParseError(f"{source}: 'subject' must be a string")
-    return validate_map(ConceptMap.of_columns(subject, *_map_columns(doc["nodes"], source)))
+    return validate_map(ConceptMap._of_columns(subject, *_map_columns(doc["nodes"], source)))
 
 
 def parse_concept_map_file(path: str | Path) -> ConceptMap:
@@ -246,19 +246,28 @@ def run_analyze(config: RunConfig, stderr: TextIO | None = None) -> int:
     return 0
 
 
-def _replaced_input(target: Path, inputs: list[Path]) -> Path | None:
-    """The first of `inputs` that is the existing file `target`.  Callers
-    pass only inputs of the target's own file name, so a run whose outputs
-    are named unlike its inputs stats nothing."""
-    return next((path for path in inputs
-                 if target.exists() and path.exists() and target.samefile(path)), None)
+def _input_guard(inputs: Sequence[Path]) -> Callable[[Path], Path | None]:
+    """A function from an output path to the first of `inputs` that is the
+    same existing file, reached through any path, symlink or hard link, or
+    None.  Files are told apart by ``(st_dev, st_ino)``; each input is
+    statted once, and each output once per call."""
+    def identity(path: Path) -> tuple[int, int] | None:
+        try:
+            stat = path.stat()
+        except OSError:  # no such file, so nothing to overwrite or to read
+            return None
+        return stat.st_dev, stat.st_ino
+
+    by_identity = {identity(path): path for path in reversed(inputs)}  # the first one wins
+    by_identity.pop(None, None)
+    return lambda target: by_identity.get(identity(target))
 
 
 def _run(config: RunConfig) -> None:
     if config.student_map_path is not None and config.out_path is not None:
         out = Path(config.out_path)
         inputs = (Path(config.teacher_map_path), Path(config.student_map_path))
-        replaced = _replaced_input(out, [path for path in inputs if path.name == out.name])
+        replaced = _input_guard(inputs)(out)
         if replaced is not None:
             raise InputError(f"--out {out} would overwrite input {replaced}")
     teacher = parse_concept_map_file(config.teacher_map_path)
@@ -274,15 +283,14 @@ def _run(config: RunConfig) -> None:
     report_names = [f"{rec.register_no}.{config.report_format}" for rec in roster]
     out_dir = Path(config.out_dir or ".")
     map_paths = [Path(config.maps_dir or ".", rec.map_path) for rec in roster]
-    named: dict[str, list[Path]] = {}  # file name -> inputs of that name
-    for path in (Path(config.teacher_map_path), Path(config.roster_path), *map_paths):
-        named.setdefault(path.name, []).append(path)
+    replaced_input = _input_guard([Path(config.teacher_map_path), Path(config.roster_path),
+                                   *map_paths])
     for rec, name in zip(roster, report_names):
-        if name == SUMMARY_FILENAME or _replaced_input(out_dir / name, named.get(name, [])):
+        if name == SUMMARY_FILENAME or replaced_input(out_dir / name):
             raise RosterSchemaError(
                 f"{config.roster_path}: register_no {rec.register_no!r} would overwrite {name}"
             )
-    replaced = _replaced_input(out_dir / SUMMARY_FILENAME, named.get(SUMMARY_FILENAME, []))
+    replaced = replaced_input(out_dir / SUMMARY_FILENAME)
     if replaced is not None:
         raise RosterSchemaError(
             f"{config.roster_path}: {SUMMARY_FILENAME} would overwrite input {replaced}"

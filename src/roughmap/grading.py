@@ -48,7 +48,6 @@ __all__ = [
     "format_fraction",
 ]
 
-REPORT_FORMATS = ("text", "csv", "json")
 ASCENDING = "asc"
 DESCENDING = "desc"
 
@@ -141,22 +140,6 @@ def format_fraction(value: Fraction, places: int) -> str:
     whole, frac = divmod(value.numerator * scale // value.denominator, scale)
     digits = f"{frac:0{places}d}".rstrip("0")
     return f"{whole}.{digits}" if digits else str(whole)
-
-
-def render_report(
-    result: AnalysisResult,
-    graded: Sequence[GradedRecord],
-    plan: RemediationPlan,
-    report_format: str = "text",
-) -> str:
-    """Serialize one analysis deterministically in the requested format."""
-    if report_format == "text":
-        return _render_text(result, graded, plan)
-    if report_format == "csv":
-        return _render_csv(result, graded, plan)
-    if report_format == "json":
-        return _render_json(result, graded, plan)
-    raise ReportFormatError(f"unknown report format: {report_format!r}")
 
 
 _display = partial(format_fraction, places=TRUNCATION_PLACES)
@@ -330,6 +313,22 @@ def _render_json(result, graded, plan) -> str:
         _encode(plan.order),
         _json_array(step_items, " " * 6),
     )
+
+
+_RENDERERS = {"text": _render_text, "csv": _render_csv, "json": _render_json}
+REPORT_FORMATS = tuple(_RENDERERS)
+
+
+def render_report(
+    result: AnalysisResult,
+    graded: Sequence[GradedRecord],
+    plan: RemediationPlan,
+    report_format: str = "text",
+) -> str:
+    """Serialize one analysis deterministically in the requested format."""
+    if report_format not in REPORT_FORMATS:
+        raise ReportFormatError(f"unknown report format: {report_format!r}")
+    return _RENDERERS[report_format](result, graded, plan)
 
 
 def parse_report(text: str) -> tuple[AnalysisResult, tuple[GradedRecord, ...], RemediationPlan]:

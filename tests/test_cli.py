@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 
 import pytest
@@ -12,6 +13,18 @@ from roughmap.grading import parse_report
 
 TEACHER = str(DATA_DIR / "teacher_map.json")
 STUDENT = str(DATA_DIR / "student_map.json")
+
+
+def make_link(link, target, kind):
+    """Make `link` a symlink (by a relative path) or a hard link to `target`."""
+    if kind == "symlink":
+        link.symlink_to(os.path.relpath(target, link.parent))
+    else:
+        os.link(target, link)
+
+
+def file_bytes(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def write_roster(path, rows):
@@ -71,6 +84,22 @@ class TestAnalyzeCommand:
         assert err == f"error: --out {out} would overwrite input {paths[role]}\n"
         assert {p: p.read_bytes() for p in paths.values()} == before
         assert sorted(tmp_path.iterdir()) == sorted([*paths.values(), tmp_path / "sub"])
+
+    @pytest.mark.parametrize("kind", ["symlink", "hardlink"])
+    @pytest.mark.parametrize("role", ["teacher", "student"])
+    def test_out_links_to_an_input(self, tmp_path, capsys, role, kind):
+        """An --out of another name that is a link to an input is refused."""
+        paths = {key: tmp_path / f"{key}_map.json" for key in ("teacher", "student")}
+        for path in paths.values():
+            path.write_bytes((DATA_DIR / path.name).read_bytes())
+        out = tmp_path / "out.txt"
+        make_link(out, paths[role], kind)
+        before = file_bytes(tmp_path)
+        code = main(["analyze", "--teacher", str(paths["teacher"]), "--student",
+                     str(paths["student"]), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --out {out} would overwrite input {paths[role]}\n"
+        assert file_bytes(tmp_path) == before
 
     def test_missing_teacher_map_exits_2(self, tmp_path, capsys):
         out = tmp_path / "never.txt"
@@ -301,6 +330,32 @@ class TestBatchCommand:
         assert capsys.readouterr().err == (f"error: {paths['roster']}: cohort_summary.csv "
                                            f"would overwrite input {paths[role]}\n")
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("kind", ["symlink", "hardlink"])
+    @pytest.mark.parametrize("output", ["report", "summary"])
+    def test_output_links_to_an_input(self, tmp_path, capsys, output, kind):
+        """A report or summary that is already a link to an input is refused
+        before anything is written."""
+        for name in ("teacher_map.json", "student_map.json"):
+            (tmp_path / name).write_bytes((DATA_DIR / name).read_bytes())
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("CSE001", "a", "d", "s", "sub", "student_map.json")])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        if output == "report":
+            name, expected = "CSE001.text", "register_no 'CSE001' would overwrite CSE001.text"
+            make_link(out_dir / name, tmp_path / "student_map.json", kind)
+        else:
+            name, expected = "cohort_summary.csv", f"cohort_summary.csv would overwrite input {roster}"
+            make_link(out_dir / name, roster, kind)
+        before = file_bytes(tmp_path)
+        code = main(["batch", "--teacher", str(tmp_path / "teacher_map.json"),
+                     "--roster", str(roster), "--maps-dir", str(tmp_path),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {roster}: {expected}\n"
+        assert file_bytes(tmp_path) == before
+        assert list(out_dir.iterdir()) == [out_dir / name]
 
     def test_input_named_report_in_another_directory(self, tmp_path):
         roster = tmp_path / "roster.csv"

@@ -20,6 +20,19 @@ from roughmap.errors import (
 )
 
 
+# The invalid node lists of TestValidateMap, each with the check it breaks.
+INVALID_NODE_LISTS = {
+    "two-cycle": [("A", "B"), ("B", "A")],
+    "multiple-roots": [("S1", None), ("U1", None)],
+    "duplicate-id": [("S1", None), ("U1", "S1"), ("U1", "S1")],
+    "dangling-parent": [("S1", None), ("U1", "GHOST")],
+    "cycle-disjoint-from-root": [("R", None), ("A", "B"), ("B", "A")],
+    "empty": [],
+    "id-None": [("S1", None), (None, "S1")],
+    "id-5": [("S1", None), (5, "S1")],
+}
+
+
 class TestValidateMap:
     def test_minimal_chain(self):
         cmap = validate_map([("S1", None), ("U1", "S1"), ("C1", "U1")])
@@ -56,6 +69,22 @@ class TestValidateMap:
         from `depth`, and `integrate` then raised a bare KeyError."""
         with pytest.raises(MapValidationError, match=f"^node id must be a string: {nid!r}$"):
             validate_map([("S1", None), (nid, "S1")])
+
+    @pytest.mark.parametrize("nodes", INVALID_NODE_LISTS.values(), ids=INVALID_NODE_LISTS)
+    def test_constructor_raises_as_validate_map(self, nodes):
+        """A map built by hand is checked when it is made, and raises the
+        exception type and message that `validate_map` raises."""
+        with pytest.raises(MapValidationError) as expected:
+            validate_map(nodes)
+        with pytest.raises(MapValidationError) as got:
+            ConceptMap("s", [MapNode(*node) for node in nodes])
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+    def test_checked_map_comes_back_unchanged(self, teacher_map):
+        cmap = validate_map([("S1", None), ("U1", "S1")], subject="demo")
+        assert validate_map(cmap, subject="other") is cmap
+        assert validate_map(teacher_map) is teacher_map
+        assert cmap.depth == {"S1": 0, "U1": 1} and cmap.parent_of == {"S1": None, "U1": "S1"}
 
     def test_accepts_phrases_and_map_nodes(self):
         cmap = validate_map([("S1", None, None), ("U1", "S1", "part of"),
@@ -131,41 +160,31 @@ class TestIntegrate:
             integrate(a, b)
 
     def test_orphan_student_node(self):
-        teacher = validate_map([("S1", None), ("U1", "S1")])
-        # hand-built invalid map bypassing validate_map: integrate validates it
-        student = ConceptMap(
-            subject="x",
-            nodes=(MapNode("S1", None), MapNode("W", "GHOST")),
-        )
+        """A hand-built map is checked when it is made, before `integrate`."""
         with pytest.raises(UnknownParentError,
                            match="^node 'W' references unknown parent 'GHOST'$"):
-            integrate(teacher, student)
+            ConceptMap(subject="x", nodes=(MapNode("S1", None), MapNode("W", "GHOST")))
 
     def test_student_tree_only_with_teacher_map(self):
         """A node under a teacher-only parent that the student omitted is
         refused, as it is in a map file."""
         teacher = validate_map([("S1", None), ("U1", "S1"), ("U2", "S1")])
-        student = ConceptMap(subject="x", nodes=(MapNode("S1", None), MapNode("W", "U2")))
+        assert "U2" in teacher.parent_of
         with pytest.raises(UnknownParentError,
                            match="^node 'W' references unknown parent 'U2'$"):
-            integrate(teacher, student)
+            ConceptMap(subject="x", nodes=(MapNode("S1", None), MapNode("W", "U2")))
 
     @pytest.mark.parametrize("rootless", ["teacher", "student"])
     def test_map_without_root(self, rootless):
-        rooted = validate_map([("a", None), ("b", "a")])
-        # hand-built map bypassing validate_map: a cycle and no root
-        cyclic = ConceptMap(subject="s", nodes=[MapNode("a", "b"), MapNode("b", "a")])
-        pair = (cyclic, rooted) if rootless == "teacher" else (rooted, cyclic)
+        """A cycle and no root: refused when the map is made, whichever side
+        of `integrate` it was meant for."""
         with pytest.raises(CycleError, match="^cycle among nodes: a -> b -> a$"):
-            integrate(*pair)
+            ConceptMap(subject=rootless, nodes=[MapNode("a", "b"), MapNode("b", "a")])
 
     @pytest.mark.parametrize("side", ["teacher", "student"])
     def test_map_with_two_roots(self, side):
-        rooted = validate_map([("a", None), ("b", "a")])
-        two_roots = ConceptMap(subject="s", nodes=[MapNode("a", None), MapNode("c", None)])
-        pair = (two_roots, rooted) if side == "teacher" else (rooted, two_roots)
         with pytest.raises(RootCountError, match=r"^multiple root nodes: \['a', 'c'\]$"):
-            integrate(*pair)
+            ConceptMap(subject=side, nodes=[MapNode("a", None), MapNode("c", None)])
 
     def test_phrases_do_not_affect_colors(self, teacher_map):
         relabeled = validate_map(

@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import levels_of
+from conftest import DATA_DIR, levels_of
 from roughmap.conceptmap import (
     ConceptMap,
     IntegratedMap,
@@ -37,9 +37,10 @@ from roughmap.errors import (
     RootMismatchError,
     RoughMapError,
     UnknownParentError,
-    ValidationError,
 )
+from roughmap import fileio
 from roughmap.analysis import analyze, level_regions
+from roughmap.cli import main
 from roughmap.fileio import parse_concept_map
 from roughmap.roughset import ApproximationSpace, _block_membership, rough_membership
 from strategies import concept_maps, teacher_student_pairs
@@ -283,13 +284,11 @@ def map_pairs(draw) -> tuple:
 
 
 def as_map(nodes, hand_built: bool) -> ConceptMap:
-    """A validated map, or one built by hand (also when validation fails)."""
-    if not hand_built:
-        try:
-            return validate_map(nodes, subject="s")
-        except ValidationError:
-            pass
-    return ConceptMap(subject="s", nodes=tuple(MapNode(*n) for n in nodes))
+    """A map from `validate_map` or built by hand; either raises the same
+    error when the nodes are not a tree."""
+    if hand_built:
+        return ConceptMap(subject="s", nodes=tuple(MapNode(*n) for n in nodes))
+    return validate_map(nodes, subject="s")
 
 
 class TestAgainstReference:
@@ -353,21 +352,45 @@ def test_walk_stops_at_a_missing_id():
 
 
 class TestCarriedDepths:
-    """A validated map carries its depths, and `integrate` then walks only
-    the student-only nodes; hand-built copies carry none, and `integrate`
-    validates them first.  Node rows are built on first read."""
+    """Every map carries its depths from the check made when it is made, and
+    `integrate` then walks only the student-only nodes.  Node rows are built
+    on first read."""
 
     @settings(max_examples=300, deadline=None)
     @given(teacher_student_pairs(max_nodes=15, max_extras=6))
     def test_integrate(self, pair):
         by_hand = [ConceptMap(subject=m.subject, nodes=m.nodes) for m in pair]
-        assert None not in (pair[0].depth, pair[1].depth)
-        assert validate_map(by_hand[0]).depth == pair[0].depth and by_hand[0].depth is None
+        for made, checked in zip(by_hand, pair):
+            assert (made.depth, made.parent_of) == (checked.depth, checked.parent_of)
+        assert validate_map(by_hand[0]) is by_hand[0]
         rows = reference_integrate(*([(n.id, n.parent) for n in m.nodes] for m in pair))
         children = {nid: tuple(c for c, p, _, _ in rows if p == nid) for nid, _, _, _ in rows}
         expected = (rows, children, max(level for _, _, level, _ in rows))
         assert described(integrate(*pair)) == expected
         assert described(integrate(*by_hand)) == expected
+
+    def test_cli_run_checks_each_map_once(self, tmp_path, monkeypatch):
+        """A CLI `analyze` run checks the teacher and the student map once
+        each, when they are parsed, and `integrate` checks neither."""
+        calls = []
+        check = ConceptMap._check
+
+        def spied_check(cmap):
+            calls.append("check")
+            check(cmap)
+
+        def spied_integrate(*maps):
+            calls.append("integrate")
+            imap = integrate(*maps)
+            calls.append("integrated")
+            return imap
+
+        monkeypatch.setattr(ConceptMap, "_check", spied_check)
+        monkeypatch.setattr(fileio, "integrate", spied_integrate)
+        assert main(["analyze", "--teacher", str(DATA_DIR / "teacher_map.json"),
+                     "--student", str(DATA_DIR / "student_map.json"),
+                     "--out", str(tmp_path / "report")]) == 0
+        assert calls == ["check", "check", "integrate", "integrated"]
 
     @settings(max_examples=200, deadline=None)
     @given(concept_maps(max_nodes=12), st.data())

@@ -92,6 +92,13 @@ CHECKS = [
     (lambda: _table(("a", "b"), {("o1", "a"): "1"}), "missing value for ('o1', 'b')"),
     (lambda: DecisionTable.from_rows({"o1": ["1"]}, attributes=("a", "b")),
      "row for 'o1' has 1 values, expected 2"),
+    (lambda: IntegratedMap("s", ("r", "a", "b"), (None, "r"), (0, 1, 1),
+                           (None, NodeColor.GREEN, NodeColor.RED)),
+     "ids, parents, levels and colors must be non-empty columns of one length, "
+     "got lengths [3, 2, 3, 3]"),
+    (lambda: IntegratedMap("s", (), (), (), ()),
+     "ids, parents, levels and colors must be non-empty columns of one length, "
+     "got lengths [0, 0, 0, 0]"),
     (lambda: RunConfig("t.json", report_format="pdf"),
      "exactly one of student_map_path / roster_path must be set"),
     (lambda: RunConfig("t.json", "s.json", "r.csv"),
