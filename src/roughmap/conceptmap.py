@@ -34,6 +34,7 @@ from .errors import (
     MapValidationError,
     RootCountError,
     RootMismatchError,
+    SubjectMismatchError,
     UnknownParentError,
 )
 
@@ -166,10 +167,6 @@ class IntegratedMap(Frozen):
         return from_columns(IntegratedNode, self.ids, self.parents, self.levels, self.colors)
 
     @cached_property
-    def by_id(self) -> dict[str, IntegratedNode]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
     def children_of(self) -> dict[str, tuple[str, ...]]:
         children = dict.fromkeys(self.ids, ())
         for blocks in self._by_level[2][1:]:
@@ -225,14 +222,18 @@ def _walk_depths(parent_of: Mapping[str, str | None], depth: dict) -> list[str] 
     return cycle
 
 
-def validate_map(nodes: Iterable | ConceptMap, subject: str = "untitled") -> ConceptMap:
+def validate_map(nodes: Iterable | ConceptMap, subject: str | None = None) -> ConceptMap:
     """A checked map of `nodes`: MapNode instances or (id, parent) /
-    (id, parent, phrase) tuples, or a ConceptMap, which comes back itself
-    (the file parser's is checked first).  Raises MapValidationError,
-    DuplicateNodeError, UnknownParentError, CycleError, or RootCountError.
+    (id, parent, phrase) tuples, whose subject is `subject` or "untitled",
+    or a ConceptMap, which comes back itself (the file parser's is checked
+    first).  Raises MapValidationError, DuplicateNodeError,
+    UnknownParentError, CycleError, or RootCountError; a ConceptMap given
+    with a `subject` other than its own raises ValueError.
     """
     if not isinstance(nodes, ConceptMap):
-        return ConceptMap(subject, starmap(MapNode, nodes))
+        return ConceptMap("untitled" if subject is None else subject, starmap(MapNode, nodes))
+    if subject is not None and subject != nodes.subject:
+        raise ValueError(f"subject {subject!r} given for a map of subject {nodes.subject!r}")
     if "depth" not in vars(nodes):
         nodes._check()
     return nodes
@@ -245,13 +246,17 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     nodes keep the teacher's structure; such a node is green when the student
     map has the same id under the same parent, red otherwise.  Student-only
     nodes attach under their declared parent and are green.  Levels are
-    recomputed on the merged tree.
+    recomputed on the merged tree.  The maps must share their root and,
+    unless one of them is "untitled", their subject.
     """
     ids, parents = teacher.ids, teacher.parents
     student_parent = student.parent_of
     root, student_root = ids[parents.index(None)], student.ids[student.parents.index(None)]
     if root != student_root:
         raise RootMismatchError(f"root ids differ: teacher {root!r}, student {student_root!r}")
+    if teacher.subject != student.subject and "untitled" not in (teacher.subject, student.subject):
+        raise SubjectMismatchError(
+            f"subjects differ: teacher {teacher.subject!r}, student {student.subject!r}")
     extra_ids = tuple(filterfalse(teacher.parent_of.__contains__, student.ids))
     extra_parents = tuple(map(student_parent.__getitem__, extra_ids))
     merged_ids, merged_parents = ids + extra_ids, parents + extra_parents

@@ -66,6 +66,10 @@ class RootMismatchError(ValidationError):
     """Teacher and student maps disagree on the root concept."""
 
 
+class SubjectMismatchError(ValidationError):
+    """Teacher and student maps name different subjects."""
+
+
 # analysis layer
 
 class NothingToAnalyzeError(ValidationError):

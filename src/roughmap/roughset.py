@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Frozen, InvalidSubsetError, UnknownAttributeError
@@ -102,56 +103,33 @@ class ApproximationSpace(Frozen):
 class DecisionTable(Frozen):
     """Objects x attributes with condition and decision feature subsets.
 
-    `values` must be total: one value per (object, attribute) pair.
+    `rows[i]` is object i's values, one per attribute in `attributes` order.
     """
 
     def __init__(self, objects: Universe, attributes: Iterable[str],
-                 values: Mapping[tuple[str, str], str], condition: Iterable[str],
+                 rows: Iterable[Sequence[str]], condition: Iterable[str],
                  decision: Iterable[str]) -> None:
-        self.__dict__.update(objects=objects, attributes=tuple(attributes), values=dict(values),
-                             condition=frozenset(condition), decision=frozenset(decision))
+        self.__dict__.update(objects=objects, attributes=tuple(attributes),
+                             rows=tuple(map(tuple, rows)), condition=frozenset(condition),
+                             decision=frozenset(decision))
         attrs = set(self.attributes)
         if len(attrs) != len(self.attributes):
             raise ValueError("duplicate attribute names")
         for name, subset in (("condition", self.condition), ("decision", self.decision)):
             if not subset <= attrs:
                 raise ValueError(f"{name} features not among attributes: {sorted(subset - attrs)}")
-        for obj in objects:
-            for attr in self.attributes:
-                if (obj, attr) not in self.values:
-                    raise ValueError(f"missing value for ({obj!r}, {attr!r})")
+        if len(self.rows) != len(objects.elements):
+            raise ValueError(f"{len(self.rows)} rows for {len(objects.elements)} objects")
+        width = len(attrs)
+        if set(map(len, self.rows)) - {width}:
+            obj, row = next((o, r) for o, r in zip(objects, self.rows) if len(r) != width)
+            raise ValueError(f"row for {obj!r} has {len(row)} values, expected {width}")
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Mapping[str, Sequence[str]],
-        attributes: Sequence[str],
-        condition: Iterable[str] | None = None,
-        decision: Iterable[str] | None = None,
-    ) -> "DecisionTable":
-        """Build a table from per-object value rows aligned with `attributes`.
-
-        Defaults follow the usual convention: every attribute but the last is
-        a condition feature and the last is the decision feature.
-        """
-        attributes = tuple(attributes)
-        values: dict[tuple[str, str], str] = {}
-        for obj, row in rows.items():
-            if len(row) != len(attributes):
-                raise ValueError(f"row for {obj!r} has {len(row)} values, expected {len(attributes)}")
-            for attr, val in zip(attributes, row):
-                values[(obj, attr)] = val
-        if condition is None:
-            condition = attributes[:-1]
-        if decision is None:
-            decision = attributes[-1:]
-        return cls(
-            objects=Universe(tuple(rows)),
-            attributes=attributes,
-            values=values,
-            condition=frozenset(condition),
-            decision=frozenset(decision),
-        )
+    def from_rows(cls, rows: Mapping[str, Sequence[str]], attributes: Sequence[str]) -> "DecisionTable":
+        """Build a table from per-object value rows aligned with `attributes`,
+        with no condition or decision features."""
+        return cls(Universe(rows), attributes, rows.values(), (), ())
 
 
 class Regions(NamedTuple):
@@ -235,9 +213,9 @@ def indiscernibility(table: DecisionTable, p: Iterable[str]) -> Partition:
     unknown = chosen - set(table.attributes)
     if unknown:
         raise UnknownAttributeError(f"unknown attribute(s): {sorted(unknown)}")
-    signature_attrs = [a for a in table.attributes if a in chosen]
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for obj in table.objects:
-        signature = tuple(table.values[(obj, attr)] for attr in signature_attrs)
-        groups.setdefault(signature, []).append(obj)
-    return Partition(tuple(tuple(group) for group in groups.values()))
+    indices = [i for i, a in enumerate(table.attributes) if a in chosen]
+    signature = itemgetter(*indices) if indices else lambda row: ()
+    groups: dict[object, list[str]] = {}
+    for obj, sig in zip(table.objects, map(signature, table.rows)):
+        groups.setdefault(sig, []).append(obj)
+    return Partition(groups.values())

@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 import strategies
-from conftest import DATA_DIR
+from conftest import DATA_DIR, by_id
 from roughmap.analysis import analyze, level_regions
 from roughmap.cli import main
 from roughmap.conceptmap import NodeColor, integrate, validate_map
@@ -257,7 +257,7 @@ def test_integration_identity_and_leaf_flip():
             subject=cmap.subject,
         )
         flipped = integrate(cmap, student)
-        assert flipped.by_id[dropped.id].color is NodeColor.RED
+        assert by_id(flipped)[dropped.id].color is NodeColor.RED
         others = [n for n in flipped.nodes if n.parent is not None and n.id != dropped.id]
         assert all(n.color is NodeColor.GREEN for n in others)
 

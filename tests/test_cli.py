@@ -34,6 +34,17 @@ def write_roster(path, rows):
         writer.writerows(rows)
 
 
+def other_subject_map(tmp_path):
+    """The sample student map, filed under another subject."""
+    doc = json.loads((DATA_DIR / "student_map.json").read_text(encoding="utf-8"))
+    path = tmp_path / "other_subject.json"
+    path.write_text(json.dumps({**doc, "subject": "Computer Networks"}), encoding="utf-8")
+    return path
+
+
+SUBJECTS_DIFFER = "subjects differ: teacher 'Data Structures', student 'Computer Networks'"
+
+
 class TestAnalyzeCommand:
     def test_report_to_stdout(self, capsys):
         assert main(["analyze", "--teacher", TEACHER, "--student", STUDENT]) == 0
@@ -115,6 +126,11 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--teacher", TEACHER, "--student", str(bad)])
         assert code == 1
         assert "cycle" in capsys.readouterr().err
+
+    def test_student_map_of_another_subject_exits_1(self, tmp_path, capsys):
+        student = str(other_subject_map(tmp_path))
+        assert main(["analyze", "--teacher", TEACHER, "--student", student]) == 1
+        assert capsys.readouterr() == ("", f"error: {SUBJECTS_DIFFER}\n")
 
 
 class TestValidateCommand:
@@ -262,6 +278,15 @@ class TestBatchCommand:
         rows_f = (out_f / "cohort_summary.csv").read_text().splitlines()[1:]
         rows_b = (out_b / "cohort_summary.csv").read_text().splitlines()[1:]
         assert rows_f == rows_b[::-1]
+
+    def test_student_map_of_another_subject_names_register(self, tmp_path, capsys):
+        student = other_subject_map(tmp_path)
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("R1", "a", "d", "s", "Data Structures", student.name)])
+        code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                     "--maps-dir", str(tmp_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: student R1 ({student}): {SUBJECTS_DIFFER}\n"
 
     def test_missing_student_map_names_register_and_path(self, tmp_path, capsys):
         roster = tmp_path / "roster.csv"

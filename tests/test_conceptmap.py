@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from conftest import GREEN_LEAVES, RED_LEAVES, STUDENT_NODES, TEACHER_NODES, by_id, levels_of
 from roughmap.conceptmap import (
@@ -16,6 +18,7 @@ from roughmap.errors import (
     MapValidationError,
     RootCountError,
     RootMismatchError,
+    SubjectMismatchError,
     UnknownParentError,
 )
 
@@ -31,6 +34,9 @@ INVALID_NODE_LISTS = {
     "id-None": [("S1", None), (None, "S1")],
     "id-5": [("S1", None), (5, "S1")],
 }
+
+# Subjects for TestIntegrate: the sample's, another course's, "untitled" and arbitrary text.
+SUBJECTS = st.sampled_from(["untitled", "Data Structures", "Computer Networks"]) | st.text(max_size=3)
 
 
 class TestValidateMap:
@@ -82,8 +88,12 @@ class TestValidateMap:
 
     def test_checked_map_comes_back_unchanged(self, teacher_map):
         cmap = validate_map([("S1", None), ("U1", "S1")], subject="demo")
-        assert validate_map(cmap, subject="other") is cmap
+        assert validate_map(cmap) is validate_map(cmap, subject="demo") is cmap
+        with pytest.raises(ValueError,
+                           match="^subject 'other' given for a map of subject 'demo'$"):
+            validate_map(cmap, subject="other")
         assert validate_map(teacher_map) is teacher_map
+        assert validate_map([("S1", None)]).subject == "untitled"
         assert cmap.depth == {"S1": 0, "U1": 1} and cmap.parent_of == {"S1": None, "U1": "S1"}
 
     def test_accepts_phrases_and_map_nodes(self):
@@ -158,6 +168,18 @@ class TestIntegrate:
         b = validate_map([("S2", None), ("U1", "S2")])
         with pytest.raises(RootMismatchError):
             integrate(a, b)
+
+    @given(SUBJECTS, SUBJECTS)
+    def test_subjects_differ_only_with_an_untitled_map(self, teacher_subject, student_subject):
+        teacher = validate_map(TEACHER_NODES, subject=teacher_subject)
+        student = validate_map(STUDENT_NODES, subject=student_subject)
+        if teacher_subject == student_subject or "untitled" in (teacher_subject, student_subject):
+            assert integrate(teacher, student).subject == teacher_subject
+            return
+        with pytest.raises(SubjectMismatchError) as info:
+            integrate(teacher, student)
+        assert str(info.value) == (
+            f"subjects differ: teacher {teacher_subject!r}, student {student_subject!r}")
 
     def test_orphan_student_node(self):
         """A hand-built map is checked when it is made, before `integrate`."""

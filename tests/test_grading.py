@@ -124,6 +124,12 @@ class TestGradeRecords:
         assert g.actual_percent == 33
         assert g.grade == "C"
 
+    @pytest.mark.parametrize("overlap, percent", [(-1, -50), (3, 150)])
+    def test_out_of_range_after_a_zero_percent(self, overlap, percent):
+        # 0% is in range, so the guard must look past it to the offending record.
+        with pytest.raises(PercentRangeError, match=f"0..100: {percent}$"):
+            grade_records([_rec("zero", 0, 2), _rec("bad", overlap, 2)])
+
 
 class TestRemediationSequence:
     def test_sample_ascending(self, sample_analysis):

@@ -244,21 +244,20 @@ class TestContainers:
             ApproximationSpace(Universe(("a",)), Partition((("a", "b"),)))
 
     def test_decision_table_requires_total_values(self):
-        with pytest.raises(ValueError, match="missing value"):
-            DecisionTable(
-                objects=Universe(("o1",)),
-                attributes=("a", "b"),
-                values={("o1", "a"): "1"},
-                condition=frozenset({"a"}),
-                decision=frozenset({"b"}),
-            )
+        objects = Universe(("o1", "o2"))
+        with pytest.raises(ValueError, match="row for 'o2' has 1 values, expected 2"):
+            DecisionTable(objects=objects, attributes=("a", "b"), rows=(("1", "x"), ("2",)),
+                          condition=frozenset({"a"}), decision=frozenset({"b"}))
+        with pytest.raises(ValueError, match="1 rows for 2 objects"):
+            DecisionTable(objects=objects, attributes=("a", "b"), rows=(("1", "x"),),
+                          condition=frozenset({"a"}), decision=frozenset({"b"}))
 
     def test_decision_table_feature_subsets_checked(self):
         with pytest.raises(ValueError, match="condition"):
             DecisionTable(
                 objects=Universe(("o1",)),
                 attributes=("a",),
-                values={("o1", "a"): "1"},
+                rows=(("1",),),
                 condition=frozenset({"zz"}),
                 decision=frozenset(),
             )

@@ -37,9 +37,8 @@ VALUES = [
     (Partition, ("blocks",), ((("a",), ("b",)),)),
     (ApproximationSpace, ("universe", "partition"),
      (Universe(("a", "b")), Partition((("a",), ("b",))))),
-    (DecisionTable, ("objects", "attributes", "values", "condition", "decision"),
-     (Universe(("o1",)), ("a", "d"), {("o1", "a"): "1", ("o1", "d"): "x"},
-      frozenset({"a"}), frozenset({"d"}))),
+    (DecisionTable, ("objects", "attributes", "rows", "condition", "decision"),
+     (Universe(("o1",)), ("a", "d"), (("1", "x"),), frozenset({"a"}), frozenset({"d"}))),
 ]
 IDS = [cls.__name__ for cls, _, _ in VALUES]
 
@@ -63,9 +62,8 @@ def test_fields_are_read_only(cls, names, values):
         assert getattr(value, name) == expected
 
 
-def _table(attributes, values, condition=(), decision=()):
-    return DecisionTable(Universe(("o1",)), attributes, values, frozenset(condition),
-                         frozenset(decision))
+def _table(attributes, rows, condition=(), decision=()):
+    return DecisionTable(Universe(("o1",)), attributes, rows, condition, decision)
 
 
 # (construction, exception message); every check raises ValueError.  Where a
@@ -82,16 +80,21 @@ CHECKS = [
      "partition exceeds the universe: ['b']"),
     (lambda: ApproximationSpace(Universe(("a", "b")), Partition((("a", "c"),))),
      "partition does not cover: ['b']"),
-    (lambda: _table(("a", "a"), {}, condition={"zz"}), "duplicate attribute names"),
-    (lambda: _table(("a",), {("o1", "a"): "1"}, condition={"zz"}, decision={"yy"}),
+    (lambda: _table(("a", "a"), (), condition={"zz"}), "duplicate attribute names"),
+    (lambda: _table(("a",), (("1",),), condition={"zz"}, decision={"yy"}),
      "condition features not among attributes: ['zz']"),
-    (lambda: _table(("a",), {("o1", "a"): "1"}, decision={"yy"}),
+    (lambda: _table(("a",), (("1",),), decision={"yy"}),
      "decision features not among attributes: ['yy']"),
-    (lambda: _table(("a", "b"), {("o1", "a"): "1"}, decision={"zz"}),
+    (lambda: _table(("a", "b"), (("1",),), decision={"zz"}),
      "decision features not among attributes: ['zz']"),
-    (lambda: _table(("a", "b"), {("o1", "a"): "1"}), "missing value for ('o1', 'b')"),
+    (lambda: _table(("a", "b"), (), decision={"a"}), "0 rows for 1 objects"),
+    (lambda: _table(("a",), (("1",), ("2",))), "2 rows for 1 objects"),
+    (lambda: _table(("a", "b", "c"), (("1",),)), "row for 'o1' has 1 values, expected 3"),
+    (lambda: _table(("a",), (("1", "2"),)), "row for 'o1' has 2 values, expected 1"),
     (lambda: DecisionTable.from_rows({"o1": ["1"]}, attributes=("a", "b")),
      "row for 'o1' has 1 values, expected 2"),
+    (lambda: DecisionTable.from_rows({"o1": ["1", "2"], "o2": ["3"], "o3": []}, ("a", "b")),
+     "row for 'o2' has 1 values, expected 2"),
     (lambda: IntegratedMap("s", ("r", "a", "b"), (None, "r"), (0, 1, 1),
                            (None, NodeColor.GREEN, NodeColor.RED)),
      "ids, parents, levels and colors must be non-empty columns of one length, "
