@@ -7,7 +7,7 @@ import sys
 
 from .analysis import ALL_LEVELS, DEEPEST_ONLY
 from .errors import InputError, ValidationError
-from .fileio import RunConfig, parse_concept_map_file, run_analyze
+from .fileio import parse_concept_map_file, run_analyze, run_batch
 from .grading import ASCENDING, DESCENDING, REPORT_FORMATS
 
 
@@ -50,26 +50,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "analyze":
-        config = RunConfig(
-            teacher_map_path=args.teacher,
-            student_map_path=args.student,
-            out_path=args.out,
-            report_format=args.format,
-            order=args.order,
-            levels=args.levels,
-        )
-        return run_analyze(config)
+        return run_analyze(args.teacher, args.student, args.out,
+                           args.format, args.order, args.levels)
     if args.command == "batch":
-        config = RunConfig(
-            teacher_map_path=args.teacher,
-            roster_path=args.roster,
-            maps_dir=args.maps_dir,
-            out_dir=args.out_dir,
-            report_format=args.format,
-            order=args.order,
-            levels=args.levels,
-        )
-        return run_analyze(config)
+        return run_batch(args.teacher, args.roster, args.maps_dir, args.out_dir,
+                         args.format, args.order, args.levels)
     try:
         parse_concept_map_file(args.map_path)
     except ValidationError as exc:

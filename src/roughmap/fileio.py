@@ -1,4 +1,4 @@
-"""File formats, roster ingestion, and the single/batch run driver.
+"""File formats, roster ingestion, and the run functions of `analyze` and `batch`.
 
 Concept maps are JSON documents::
 
@@ -10,10 +10,11 @@ Rosters are CSV with header
 text; a leading byte order mark is skipped.  Exit statuses:
 0 success, 1 validation/analysis error, 2 I/O or parse error.
 
-A run pauses the cyclic garbage collector and restores its prior state on
-every exit.  The pipeline builds no reference cycles (tests/test_no_cycles.py
-checks this), so reference counting frees everything it drops and the
-collector's passes over the run's many objects would find nothing.
+A run (`run_analyze` or `run_batch`) pauses the cyclic garbage collector
+and restores its prior state on every exit.  The pipeline builds no
+reference cycles (tests/test_no_cycles.py checks this), so reference
+counting frees everything it drops and the collector's passes over the
+run's many objects would find nothing.
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ import csv
 import gc
 import io
 import json
+import re
 import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TextIO
 
-from .analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, analyze
+from .analysis import DEEPEST_ONLY, AnalysisResult, analyze
 from .conceptmap import ConceptMap, integrate, validate_map
 from .errors import (
     DuplicateRegisterError,
-    Frozen,
     InputError,
     MapFileParseError,
     RosterSchemaError,
@@ -40,9 +41,7 @@ from .errors import (
 )
 from .grading import (
     ASCENDING,
-    DESCENDING,
     EXPECTED_RESULT_PLACES,
-    REPORT_FORMATS,
     GradedRecord,
     format_fraction,
     grade_records,
@@ -52,13 +51,13 @@ from .grading import (
 
 __all__ = [
     "RosterRecord",
-    "RunConfig",
     "ROSTER_COLUMNS",
     "SUMMARY_FILENAME",
     "parse_concept_map",
     "parse_concept_map_file",
     "parse_roster",
     "run_analyze",
+    "run_batch",
 ]
 
 ROSTER_COLUMNS = ("register_no", "name", "department", "semester", "subject", "map_path")
@@ -74,32 +73,10 @@ class RosterRecord(NamedTuple):
     map_path: str
 
 
-class RunConfig(Frozen):
-    """Everything one run needs; exactly one of single/batch mode selected.
-    In single mode an `out_path` of None writes to stdout; in batch mode an
-    `out_dir` of None means the current directory."""
-
-    def __init__(self, teacher_map_path: str, student_map_path: str | None = None,
-                 roster_path: str | None = None, maps_dir: str | None = None,
-                 out_path: str | None = None, out_dir: str | None = None,
-                 report_format: str = "text", order: str = ASCENDING,
-                 levels: str = DEEPEST_ONLY) -> None:
-        if (student_map_path is None) == (roster_path is None):
-            raise ValueError("exactly one of student_map_path / roster_path must be set")
-        if report_format not in REPORT_FORMATS:
-            raise ValueError(f"unknown report format: {report_format!r}")
-        if order not in (ASCENDING, DESCENDING):
-            raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
-        if levels not in (DEEPEST_ONLY, ALL_LEVELS):
-            raise ValueError(f"levels must be 'deepest' or 'all', got {levels!r}")
-        self.__dict__.update(
-            teacher_map_path=teacher_map_path, student_map_path=student_map_path,
-            roster_path=roster_path, maps_dir=maps_dir, out_path=out_path, out_dir=out_dir,
-            report_format=report_format, order=order, levels=levels)
-
-
 _ID, _PARENT = itemgetter("id"), itemgetter("parent")
 _OPTIONAL_STR = {str, type(None)}
+# A path separator or a control character (Unicode category Cc).
+_UNSAFE_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]").search
 
 
 def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
@@ -189,8 +166,7 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
             register_no = (row["register_no"] or "").strip()
             if not register_no:
                 raise RosterSchemaError(f"{path}: line {lineno}: empty register_no")
-            if (register_no in (".", "..") or "/" in register_no or "\\" in register_no
-                    or min(register_no) < " "):
+            if register_no in (".", "..") or _UNSAFE_CHAR(register_no):
                 raise RosterSchemaError(
                     f"{path}: line {lineno}: register_no {register_no!r} is not a safe file name"
                 )
@@ -213,27 +189,25 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
 
 
 def _student_report(
-    teacher: ConceptMap, student: ConceptMap, config: RunConfig
+    teacher: ConceptMap, student_map_path: str | Path, report_format: str, order: str, levels: str
 ) -> tuple[AnalysisResult, tuple[GradedRecord, ...], str]:
-    """Full pipeline for one student: integrate, analyze, grade, plan, render."""
-    result = analyze(integrate(teacher, student), levels=config.levels)
+    """The one per-student path of both commands: parse the student map,
+    then integrate, analyze, grade, plan and render."""
+    student = parse_concept_map_file(student_map_path)
+    result = analyze(integrate(teacher, student), levels=levels)
     graded = grade_records(result.records)
-    plan = remediation_sequence(result.records, order=config.order)
-    return result, graded, render_report(result, graded, plan, config.report_format)
+    plan = remediation_sequence(result.records, order=order)
+    return result, graded, render_report(result, graded, plan, report_format)
 
 
-def run_analyze(config: RunConfig, stderr: TextIO | None = None) -> int:
-    """Drive one run and return the process exit status.
-
-    Single mode renders one report to `out_path` (or stdout); batch mode
-    writes one report per roster row named ``<register_no>.<format>`` plus a
-    cohort summary.  Any error produces a one-line diagnostic on `stderr`.
-    """
+def _exit_status(run: Callable[[], None], stderr: TextIO | None) -> int:
+    """Call `run` with the cyclic collector paused and return the process
+    exit status; any error produces a one-line diagnostic on `stderr`."""
     err = stderr if stderr is not None else sys.stderr
     collecting = gc.isenabled()
     gc.disable()
     try:
-        _run(config)
+        run()
     except ValidationError as exc:
         print(f"error: {exc}", file=err)
         return 1
@@ -263,57 +237,75 @@ def _input_guard(inputs: Sequence[Path]) -> Callable[[Path], Path | None]:
     return lambda target: by_identity.get(identity(target))
 
 
-def _run(config: RunConfig) -> None:
-    if config.student_map_path is not None and config.out_path is not None:
-        out = Path(config.out_path)
-        inputs = (Path(config.teacher_map_path), Path(config.student_map_path))
-        replaced = _input_guard(inputs)(out)
-        if replaced is not None:
-            raise InputError(f"--out {out} would overwrite input {replaced}")
-    teacher = parse_concept_map_file(config.teacher_map_path)
-    if config.student_map_path is not None:
-        student = parse_concept_map_file(config.student_map_path)
-        _, _, report = _student_report(teacher, student, config)
-        if config.out_path is not None:
-            Path(config.out_path).write_text(report, encoding="utf-8")
+def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | None = None,
+                report_format: str = "text", order: str = ASCENDING,
+                levels: str = DEEPEST_ONLY, stderr: TextIO | None = None) -> int:
+    """Grade one student and return the exit status.  The report goes to
+    `out_path`, or to stdout when it is None."""
+    def run() -> None:
+        if out_path is not None:
+            out = Path(out_path)
+            replaced = _input_guard((Path(teacher_map_path), Path(student_map_path)))(out)
+            if replaced is not None:
+                raise InputError(f"--out {out} would overwrite input {replaced}")
+        teacher = parse_concept_map_file(teacher_map_path)
+        _, _, report = _student_report(teacher, student_map_path, report_format, order, levels)
+        if out_path is not None:
+            Path(out_path).write_text(report, encoding="utf-8")
         else:
             sys.stdout.write(report)
-        return
-    roster = parse_roster(config.roster_path)
-    report_names = [f"{rec.register_no}.{config.report_format}" for rec in roster]
-    out_dir = Path(config.out_dir or ".")
-    map_paths = [Path(config.maps_dir or ".", rec.map_path) for rec in roster]
-    replaced_input = _input_guard([Path(config.teacher_map_path), Path(config.roster_path),
-                                   *map_paths])
-    for rec, name in zip(roster, report_names):
-        if name == SUMMARY_FILENAME or replaced_input(out_dir / name):
+
+    return _exit_status(run, stderr)
+
+
+def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = None,
+              out_dir: str = ".", report_format: str = "text", order: str = ASCENDING,
+              levels: str = DEEPEST_ONLY, stderr: TextIO | None = None) -> int:
+    """Grade every roster row and return the exit status.  Each row's report
+    is ``<out_dir>/<register_no>.<format>``, followed by a cohort summary;
+    a relative map path is resolved against `maps_dir`."""
+    def run() -> None:
+        teacher = parse_concept_map_file(teacher_map_path)
+        roster = parse_roster(roster_path)
+        report_names = [f"{rec.register_no}.{report_format}" for rec in roster]
+        out = Path(out_dir)
+        map_paths = [Path(maps_dir or ".", rec.map_path) for rec in roster]
+        replaced_input = _input_guard([Path(teacher_map_path), Path(roster_path), *map_paths])
+        for rec, name in zip(roster, report_names):
+            if name == SUMMARY_FILENAME or replaced_input(out / name):
+                raise RosterSchemaError(
+                    f"{roster_path}: register_no {rec.register_no!r} would overwrite {name}"
+                )
+        replaced = replaced_input(out / SUMMARY_FILENAME)
+        if replaced is not None:
             raise RosterSchemaError(
-                f"{config.roster_path}: register_no {rec.register_no!r} would overwrite {name}"
+                f"{roster_path}: {SUMMARY_FILENAME} would overwrite input {replaced}"
             )
-    replaced = replaced_input(out_dir / SUMMARY_FILENAME)
-    if replaced is not None:
-        raise RosterSchemaError(
-            f"{config.roster_path}: {SUMMARY_FILENAME} would overwrite input {replaced}"
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary_rows: list[tuple[str, str, str]] = []
-    for rec, report_name, map_path in zip(roster, report_names, map_paths):
-        if not map_path.is_file():
-            raise InputError(f"student map for {rec.register_no} not found: {map_path}")
-        try:
-            student = parse_concept_map_file(map_path)
-            result, graded, report = _student_report(teacher, student, config)
-        except ValidationError as exc:
-            raise ValidationError(f"student {rec.register_no} ({map_path}): {exc}") from exc
-        (out_dir / report_name).write_text(report, encoding="utf-8")
-        summary_rows.append(
-            (
-                rec.register_no,
-                format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
-                ";".join(f"{g.node}={g.grade}" for g in graded),
+        out.mkdir(parents=True, exist_ok=True)
+        summary_rows: list[tuple[str, str, str]] = []
+        for rec, report_name, map_path in zip(roster, report_names, map_paths):
+            fault = f"student {rec.register_no} ({map_path})"
+            try:
+                # A FIFO or device would block the read.
+                if not map_path.is_file():
+                    raise InputError("missing or not a regular file")
+                result, graded, report = _student_report(
+                    teacher, map_path, report_format, order, levels)
+            except ValidationError as exc:
+                raise ValidationError(f"{fault}: {exc}") from exc
+            except (InputError, OSError) as exc:
+                raise InputError(f"{fault}: {exc}") from exc
+            (out / report_name).write_text(report, encoding="utf-8")
+            summary_rows.append(
+                (
+                    rec.register_no,
+                    format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
+                    ";".join(f"{g.node}={g.grade}" for g in graded),
+                )
             )
-        )
-    with (out_dir / SUMMARY_FILENAME).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["register_no", "expected_result", "grades"])
-        writer.writerows(summary_rows)
+        with (out / SUMMARY_FILENAME).open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["register_no", "expected_result", "grades"])
+            writer.writerows(summary_rows)
+
+    return _exit_status(run, stderr)

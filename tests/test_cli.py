@@ -4,12 +4,17 @@ import csv
 import json
 import os
 import sys
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import strategies
 from conftest import DATA_DIR, REPO_ROOT
 from roughmap.cli import main
-from roughmap.grading import parse_report
+from roughmap.grading import REPORT_FORMATS, parse_report
 
 TEACHER = str(DATA_DIR / "teacher_map.json")
 STUDENT = str(DATA_DIR / "student_map.json")
@@ -202,7 +207,7 @@ class TestHostileMapFiles:
         out_dir = tmp_path / "out"
         assert main(["batch", "--teacher", TEACHER, "--roster", str(roster),
                      "--maps-dir", str(tmp_path), "--out-dir", str(out_dir)]) == 2
-        assert capsys.readouterr() == ("", line)
+        assert capsys.readouterr() == ("", line.replace("error: ", f"error: student R1 ({bad}): "))
         assert list(out_dir.iterdir()) == []
 
 
@@ -288,23 +293,29 @@ class TestBatchCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: student R1 ({student}): {SUBJECTS_DIFFER}\n"
 
-    def test_missing_student_map_names_register_and_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_missing_student_map_names_register_and_path(self, tmp_path, capsys, kind):
+        if kind == "directory":
+            (tmp_path / "nowhere.json").mkdir()
         roster = tmp_path / "roster.csv"
         write_roster(roster, [("R9", "a", "d", "s", "sub", "nowhere.json")])
         code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
                      "--maps-dir", str(tmp_path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "R9" in err and "nowhere.json" in err
+        assert capsys.readouterr().err == (
+            f"error: student R9 ({tmp_path / 'nowhere.json'}): missing or not a regular file\n")
 
     @pytest.mark.parametrize("register_no,report_format", [
         *((name, "text") for name in ("../escaped", "a/b", "a\\b", ".", "..", "CSE\n01")),
         pytest.param("CSE\x0001", "text", marks=pytest.mark.skipif(
             sys.version_info < (3, 11),
             reason="before 3.11 the csv module rejects NUL itself (see test_unreadable_roster)")),
+        # Control characters past ASCII: DEL and NEL.
+        ("R\x7f1", "text"), ("R\x851", "text"),
         # Its csv report would be overwritten by the cohort summary.
         ("cohort_summary", "csv"),
-    ], ids=["../escaped", "a/b", "a\\b", ".", "..", "CSE\n01", "CSE\x0001", "cohort_summary-csv"])
+    ], ids=["../escaped", "a/b", "a\\b", ".", "..", "CSE\n01", "CSE\x0001", "R\x7f1", "R\x851",
+            "cohort_summary-csv"])
     def test_unsafe_register_no_rejected(self, tmp_path, capsys, register_no, report_format):
         roster = tmp_path / "roster.csv"
         write_roster(roster, [("R1", "a", "d", "s", "sub", "student_map.json"),
@@ -438,6 +449,30 @@ class TestBatchCommand:
               "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir), "--format", "json"])
         doc = json.loads((out_dir / "R1.json").read_text(encoding="utf-8"))
         assert doc["expected_result_display"] == "0.548"
+
+
+class TestOnePerStudentPath:
+    """`analyze --out` and a one-row `batch` write the same report bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=strategies.teacher_student_pairs(max_extras=3),
+           report_format=st.sampled_from(REPORT_FORMATS),
+           order=st.sampled_from(["asc", "desc"]), levels=st.sampled_from(["deepest", "all"]))
+    def test_analyze_out_equals_batch_report(self, pair, report_format, order, levels):
+        flags = ["--format", report_format, "--order", order, "--levels", levels]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            teacher, student = tmp / "teacher.json", tmp / "student.json"
+            for path, cmap in ((teacher, pair[0]), (student, pair[1])):
+                nodes = [{"id": nid, "parent": parent} for nid, parent in zip(cmap.ids, cmap.parents)]
+                path.write_text(json.dumps({"subject": cmap.subject, "nodes": nodes}), "utf-8")
+            write_roster(tmp / "roster.csv", [("R1", "a", "d", "s", "sub", student.name)])
+            assert main(["analyze", "--teacher", str(teacher), "--student", str(student),
+                         "--out", str(tmp / "report"), *flags]) == 0
+            assert main(["batch", "--teacher", str(teacher), "--roster", str(tmp / "roster.csv"),
+                         "--maps-dir", str(tmp), "--out-dir", str(tmp / "out"), *flags]) == 0
+            assert ((tmp / "out" / f"R1.{report_format}").read_bytes()
+                    == (tmp / "report").read_bytes())
 
 
 class TestArgparseSurface:

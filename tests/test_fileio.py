@@ -16,7 +16,6 @@ from roughmap.errors import (
     RoughMapError,
 )
 from roughmap.fileio import (
-    RunConfig,
     parse_concept_map,
     parse_concept_map_file,
     parse_roster,
@@ -103,6 +102,14 @@ class TestParseRoster:
         with pytest.raises(RosterSchemaError, match="line 2"):
             parse_roster(path)
 
+    def test_printable_register_no_beside_controls(self, tmp_path):
+        """Only control characters (category Cc) are refused: U+00A0, the
+        first printable character after U+0080-U+009F, is kept."""
+        path = tmp_path / "r.csv"
+        path.write_text("register_no,name,department,semester,subject,map_path\n"
+                        "R\xa01,a,d,s,sub,m.json\nR\xe92,a,d,s,sub,m.json\n", encoding="utf-8")
+        assert [r.register_no for r in parse_roster(path)] == ["R\xa01", "R\xe92"]
+
 
 ROSTER_HEADER = "register_no,name,department,semester,subject,map_path\n"
 # CSV's own syntax, path separators and a NUL, beside any other character.
@@ -139,19 +146,3 @@ class TestRosterFuzz:
     def test_nul_in_a_cell_is_data(self, roster_file):
         roster_file.write_text(f"{ROSTER_HEADER}R1,a\x00b,d,s,sub,m.json\n")
         assert [r.name for r in parse_roster(roster_file)] == ["a\x00b"]
-
-
-class TestRunConfig:
-    def test_requires_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            RunConfig(teacher_map_path="t.json")
-        with pytest.raises(ValueError):
-            RunConfig(teacher_map_path="t.json", student_map_path="s.json", roster_path="r.csv")
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"report_format": "pdf"}, {"order": "sideways"}, {"levels": "some"}],
-    )
-    def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
-            RunConfig(teacher_map_path="t.json", student_map_path="s.json", **kwargs)

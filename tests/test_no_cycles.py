@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 import strategies
 from conftest import DATA_DIR
 from roughmap import fileio
-from roughmap.fileio import RunConfig, run_analyze
+from roughmap.fileio import run_analyze, run_batch
 
 TEACHER = str(DATA_DIR / "teacher_map.json")
 STUDENT = str(DATA_DIR / "student_map.json")
@@ -34,37 +34,40 @@ def root_mismatch_map(tmp_path):
     return write_map(tmp_path / "other_root.json", [("X1", None), ("U1", "X1")])
 
 
-def unreachable_after(config):
-    """Exit status of one run with the collector off, and the number of
-    unreachable objects a collection finds right after it."""
+def unreachable_after(run):
+    """Exit status of one run (a call of `run_analyze` or `run_batch`) with
+    the collector off, and the number of unreachable objects a collection
+    finds right after it."""
     gc.collect()
     was_on = gc.isenabled()
     gc.disable()
     try:
-        code = run_analyze(config, stderr=io.StringIO())
+        code = run()
         return code, gc.collect()
     finally:
         if was_on:
             gc.enable()
 
 
-def single(tmp_path, student=STUDENT, **knobs):
-    return RunConfig(teacher_map_path=TEACHER, student_map_path=student,
-                     out_path=str(tmp_path / "report"), **knobs)
+def single(tmp_path, student=STUDENT, teacher=TEACHER, **knobs):
+    return lambda: run_analyze(teacher, student, str(tmp_path / "report"),
+                               stderr=io.StringIO(), **knobs)
+
+
+def batch(tmp_path, roster=str(DATA_DIR / "roster.csv"), maps_dir=str(DATA_DIR)):
+    return lambda: run_batch(TEACHER, roster, maps_dir, str(tmp_path / "out"), "json",
+                             levels="all", stderr=io.StringIO())
 
 
 class TestNoCycles:
     @pytest.mark.parametrize("levels", ["deepest", "all"])
     @pytest.mark.parametrize("report_format", ["text", "csv", "json"])
     def test_sample(self, tmp_path, report_format, levels):
-        config = single(tmp_path, report_format=report_format, levels=levels)
-        assert unreachable_after(config) == (0, 0)
+        run = single(tmp_path, report_format=report_format, levels=levels)
+        assert unreachable_after(run) == (0, 0)
 
     def test_batch(self, tmp_path):
-        config = RunConfig(teacher_map_path=TEACHER, roster_path=str(DATA_DIR / "roster.csv"),
-                           maps_dir=str(DATA_DIR), out_dir=str(tmp_path / "out"),
-                           report_format="json", levels="all")
-        assert unreachable_after(config) == (0, 0)
+        assert unreachable_after(batch(tmp_path)) == (0, 0)
         assert (tmp_path / "out" / fileio.SUMMARY_FILENAME).is_file()
 
     def test_exit_1_root_mismatch(self, tmp_path):
@@ -73,16 +76,23 @@ class TestNoCycles:
     def test_exit_2_missing_file(self, tmp_path):
         assert unreachable_after(single(tmp_path, str(tmp_path / "absent.json"))) == (2, 0)
 
+    @pytest.mark.parametrize("map_name, expected", [("other_root.json", 1), ("absent.json", 2)])
+    def test_batch_failing_student(self, tmp_path, map_name, expected):
+        root_mismatch_map(tmp_path)
+        roster = tmp_path / "roster.csv"
+        roster.write_text(f"register_no,name,department,semester,subject,map_path\n"
+                          f"R1,a,d,s,sub,{map_name}\n", encoding="utf-8")
+        assert unreachable_after(batch(tmp_path, str(roster), str(tmp_path))) == (expected, 0)
+
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(pair=strategies.teacher_student_pairs())
     def test_random_pairs(self, tmp_path, pair):
         teacher, student = pair
-        config = RunConfig(
-            teacher_map_path=write_map(tmp_path / "t.json", [(n.id, n.parent) for n in teacher.nodes]),
-            student_map_path=write_map(tmp_path / "s.json", [(n.id, n.parent) for n in student.nodes]),
-            out_path=str(tmp_path / "report.json"), report_format="json", levels="all")
-        assert unreachable_after(config) == (0, 0)
+        student_path = write_map(tmp_path / "s.json", [(n.id, n.parent) for n in student.nodes])
+        teacher_path = write_map(tmp_path / "t.json", [(n.id, n.parent) for n in teacher.nodes])
+        run = single(tmp_path, student_path, teacher_path, report_format="json", levels="all")
+        assert unreachable_after(run) == (0, 0)
 
 
 class TestCollectorRestored:
@@ -97,7 +107,7 @@ class TestCollectorRestored:
     def test_exit_status(self, tmp_path, collecting, case, expected):
         student = {"ok": STUDENT, "root_mismatch": root_mismatch_map(tmp_path),
                    "missing": str(tmp_path / "absent.json")}[case]
-        assert run_analyze(single(tmp_path, student), stderr=io.StringIO()) == expected
+        assert single(tmp_path, student)() == expected
         assert gc.isenabled() is collecting
 
     def test_unexpected_exception(self, tmp_path, collecting, monkeypatch):
@@ -106,5 +116,5 @@ class TestCollectorRestored:
 
         monkeypatch.setattr(fileio, "integrate", broken)
         with pytest.raises(RuntimeError, match="boom"):
-            run_analyze(single(tmp_path), stderr=io.StringIO())
+            single(tmp_path)()
         assert gc.isenabled() is collecting

@@ -15,7 +15,7 @@ import pytest
 from conftest import DATA_DIR
 from roughmap import conceptmap, fileio
 from roughmap.conceptmap import IntegratedNode, MapNode
-from roughmap.fileio import RunConfig, run_analyze
+from roughmap.fileio import run_analyze, run_batch
 
 TEACHER = str(DATA_DIR / "teacher_map.json")
 
@@ -56,16 +56,14 @@ def assert_no_rows(spied):
 
 @pytest.mark.parametrize("report_format", ["text", "csv", "json"])
 def test_analyze(tmp_path, spied, report_format):
-    config = RunConfig(teacher_map_path=TEACHER, student_map_path=str(DATA_DIR / "student_map.json"),
-                       out_path=str(tmp_path / "report"), report_format=report_format,
-                       levels="all")
-    assert run_analyze(config, stderr=io.StringIO()) == 0
+    code = run_analyze(TEACHER, str(DATA_DIR / "student_map.json"), str(tmp_path / "report"),
+                       report_format, levels="all", stderr=io.StringIO())
+    assert code == 0
     assert_no_rows(spied)
 
 
 def test_batch(tmp_path, spied):
-    config = RunConfig(teacher_map_path=TEACHER, roster_path=str(DATA_DIR / "roster.csv"),
-                       maps_dir=str(DATA_DIR), out_dir=str(tmp_path / "out"),
-                       report_format="json", levels="all")
-    assert run_analyze(config, stderr=io.StringIO()) == 0
+    code = run_batch(TEACHER, str(DATA_DIR / "roster.csv"), str(DATA_DIR), str(tmp_path / "out"),
+                     "json", levels="all", stderr=io.StringIO())
+    assert code == 0
     assert_no_rows(spied)

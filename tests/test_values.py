@@ -14,7 +14,7 @@ import pytest
 from conftest import REPO_ROOT
 from roughmap.analysis import AnalysisResult
 from roughmap.conceptmap import ConceptMap, IntegratedMap, MapNode, NodeColor
-from roughmap.fileio import RosterRecord, RunConfig
+from roughmap.fileio import RosterRecord
 from roughmap.grading import GradeBand, PlanStep, RemediationPlan
 from roughmap.roughset import ApproximationSpace, DecisionTable, Partition, Universe
 
@@ -24,9 +24,6 @@ SRC = REPO_ROOT / "src"
 VALUES = [
     (RosterRecord, ("register_no", "name", "department", "semester", "subject", "map_path"),
      ("R1", "Ann", "CSE", "3", "DS", "r1.json")),
-    (RunConfig, ("teacher_map_path", "student_map_path", "roster_path", "maps_dir", "out_path",
-                 "out_dir", "report_format", "order", "levels"),
-     ("t.json", "s.json", None, None, "out.csv", None, "csv", "desc", "all")),
     (GradeBand, ("grade", "lower_bound_percent"), ("A", 75)),
     (RemediationPlan, ("order", "steps"), ("asc", (PlanStep("a", Fraction(1, 2)),))),
     (AnalysisResult, ("regions", "records", "expected_result"), ((), (), Fraction(0))),
@@ -102,16 +99,6 @@ CHECKS = [
     (lambda: IntegratedMap("s", (), (), (), ()),
      "ids, parents, levels and colors must be non-empty columns of one length, "
      "got lengths [0, 0, 0, 0]"),
-    (lambda: RunConfig("t.json", report_format="pdf"),
-     "exactly one of student_map_path / roster_path must be set"),
-    (lambda: RunConfig("t.json", "s.json", "r.csv"),
-     "exactly one of student_map_path / roster_path must be set"),
-    (lambda: RunConfig("t.json", "s.json", report_format="pdf", order="x", levels="y"),
-     "unknown report format: 'pdf'"),
-    (lambda: RunConfig("t.json", "s.json", order="sideways", levels="y"),
-     "order must be 'asc' or 'desc', got 'sideways'"),
-    (lambda: RunConfig("t.json", roster_path="r.csv", levels="some"),
-     "levels must be 'deepest' or 'all', got 'some'"),
 ]
 
 
