@@ -11,26 +11,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from roughmap.analysis import analyze  # noqa: E402
-from roughmap.conceptmap import integrate  # noqa: E402
-from roughmap.fileio import parse_concept_map_file  # noqa: E402
-from roughmap.grading import grade_records, remediation_sequence, render_report  # noqa: E402
+from roughmap.analysis import ALL_LEVELS, DEEPEST_ONLY  # noqa: E402
+from roughmap.fileio import _student_report, parse_concept_map_file  # noqa: E402
+from roughmap.grading import ASCENDING, DESCENDING, REPORT_FORMATS  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    parser.add_argument("--order", choices=("asc", "desc"), default="asc")
-    parser.add_argument("--levels", choices=("deepest", "all"), default="deepest")
+    parser.add_argument("--format", choices=REPORT_FORMATS, default="text")
+    parser.add_argument("--order", choices=(ASCENDING, DESCENDING), default=ASCENDING)
+    parser.add_argument("--levels", choices=(DEEPEST_ONLY, ALL_LEVELS), default=DEEPEST_ONLY)
     args = parser.parse_args()
 
     teacher = parse_concept_map_file(ROOT / "data" / "teacher_map.json")
-    student = parse_concept_map_file(ROOT / "data" / "student_map.json")
-    result = analyze(integrate(teacher, student), levels=args.levels)
-    graded = grade_records(result.records)
-    plan = remediation_sequence(result.records, order=args.order)
+    result, _, report = _student_report(teacher, ROOT / "data" / "student_map.json",
+                                        args.format, args.order, args.levels)
 
-    print(render_report(result, graded, plan, args.format))
+    print(report)
     print("exact importance degrees:")
     for rec in result.records:
         print(f"  {rec.node}: {rec.overlap}/{rec.child_count} = {rec.alpha}"

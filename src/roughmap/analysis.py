@@ -35,7 +35,7 @@ from operator import attrgetter, floordiv, mul, sub
 from typing import NamedTuple
 
 from .conceptmap import IntegratedMap, from_columns
-from .errors import NothingToAnalyzeError
+from .errors import NothingToAnalyzeError, ValidationError
 from .roughset import _block_membership
 
 __all__ = [
@@ -132,7 +132,7 @@ def analyze(imap: IntegratedMap, levels: str = DEEPEST_ONLY) -> AnalysisResult:
     elif levels == ALL_LEVELS:
         chosen = all_regions
     else:
-        raise ValueError(f"levels must be 'deepest' or 'all', got {levels!r}")
+        raise ValidationError(f"levels must be 'deepest' or 'all', got {levels!r}")
     nodes = list(chain.from_iterable(map(_bnd, chosen)))
     node_levels = chain.from_iterable(map(repeat, map(sub, map(_level, chosen), repeat(1)),
                                           map(len, map(_bnd, chosen))))

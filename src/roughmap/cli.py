@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import sys
 
 from .analysis import ALL_LEVELS, DEEPEST_ONLY
-from .errors import InputError, ValidationError
-from .fileio import parse_concept_map_file, run_analyze, run_batch
+from .fileio import run_analyze, run_batch, run_validate
 from .grading import ASCENDING, DESCENDING, REPORT_FORMATS
 
 
@@ -55,16 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "batch":
         return run_batch(args.teacher, args.roster, args.maps_dir, args.out_dir,
                          args.format, args.order, args.levels)
-    try:
-        parse_concept_map_file(args.map_path)
-    except ValidationError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(f"valid: {args.map_path}")
-    return 0
+    return run_validate(args.map_path)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""File formats, roster ingestion, and the run functions of `analyze` and `batch`.
+"""File formats, roster ingestion, and the run functions of the three commands.
 
 Concept maps are JSON documents::
 
@@ -7,14 +7,15 @@ Concept maps are JSON documents::
 
 Rosters are CSV with header
 ``register_no,name,department,semester,subject,map_path``.  Both are UTF-8
-text; a leading byte order mark is skipped.  Exit statuses:
-0 success, 1 validation/analysis error, 2 I/O or parse error.
+text, also a map given to `parse_concept_map` as bytes; one leading byte
+order mark is skipped.  Exit statuses: 0 success, 1 validation/analysis
+error, 2 I/O or parse error; a fault prints one ``error:`` line on stderr.
 
-A run (`run_analyze` or `run_batch`) pauses the cyclic garbage collector
-and restores its prior state on every exit.  The pipeline builds no
-reference cycles (tests/test_no_cycles.py checks this), so reference
-counting frees everything it drops and the collector's passes over the
-run's many objects would find nothing.
+A run (`run_analyze`, `run_batch` or `run_validate`) pauses the cyclic
+garbage collector and restores its prior state on every exit.  The
+pipeline builds no reference cycles (tests/test_no_cycles.py checks this),
+so reference counting frees everything it drops and the collector's passes
+over the run's many objects would find nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence
 
 from .analysis import DEEPEST_ONLY, AnalysisResult, analyze
 from .conceptmap import ConceptMap, integrate, validate_map
@@ -58,6 +59,7 @@ __all__ = [
     "parse_roster",
     "run_analyze",
     "run_batch",
+    "run_validate",
 ]
 
 ROSTER_COLUMNS = ("register_no", "name", "department", "semester", "subject", "map_path")
@@ -77,6 +79,14 @@ _ID, _PARENT = itemgetter("id"), itemgetter("parent")
 _OPTIONAL_STR = {str, type(None)}
 # A path separator or a control character (Unicode category Cc).
 _UNSAFE_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]").search
+
+
+def _utf8(data: bytes, source: str, error: type[InputError]) -> str:
+    """`data` decoded as UTF-8, less one leading byte order mark."""
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise error(f"{source}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
@@ -109,7 +119,9 @@ def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
 
 
 def parse_concept_map(text: str | bytes, source: str = "<string>") -> ConceptMap:
-    """Parse and validate the JSON concept-map format."""
+    """Parse and validate the JSON concept-map format; every error names `source`."""
+    if isinstance(text, bytes):
+        text = _utf8(text, source, MapFileParseError)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -118,34 +130,25 @@ def parse_concept_map(text: str | bytes, source: str = "<string>") -> ConceptMap
         ) from exc
     except RecursionError as exc:
         raise MapFileParseError(f"{source}: JSON nested too deeply") from exc
-    except UnicodeDecodeError as exc:  # json.loads decodes bytes itself
-        raise MapFileParseError(
-            f"{source}: not {exc.encoding} text: {exc.reason} at byte {exc.start}"
-        ) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise MapFileParseError(f"{source}: expected an object with a 'nodes' array")
     subject = doc.get("subject", "untitled")
     if not isinstance(subject, str):
         raise MapFileParseError(f"{source}: 'subject' must be a string")
-    return validate_map(ConceptMap._of_columns(subject, *_map_columns(doc["nodes"], source)))
+    try:  # a MapFileParseError from _map_columns names `source` already
+        return validate_map(ConceptMap._of_columns(subject, *_map_columns(doc["nodes"], source)))
+    except ValidationError as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
 
 
 def parse_concept_map_file(path: str | Path) -> ConceptMap:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise MapFileParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    return parse_concept_map(text.removeprefix("\ufeff"), source=str(path))
+    return parse_concept_map(Path(path).read_bytes(), source=str(path))
 
 
 def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
     """Read a roster CSV; rows keep file order, register numbers must be unique."""
     path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise RosterSchemaError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    text = _utf8(path.read_bytes(), str(path), RosterSchemaError)
     reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
         if reader.fieldnames is None:
@@ -200,20 +203,17 @@ def _student_report(
     return result, graded, render_report(result, graded, plan, report_format)
 
 
-def _exit_status(run: Callable[[], None], stderr: TextIO | None) -> int:
+def _exit_status(run: Callable[[], None]) -> int:
     """Call `run` with the cyclic collector paused and return the process
-    exit status; any error produces a one-line diagnostic on `stderr`."""
-    err = stderr if stderr is not None else sys.stderr
+    exit status: the one place a fault becomes exit 1 (a ValidationError)
+    or 2 (an InputError or OSError), with a one-line diagnostic on stderr."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         run()
-    except ValidationError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
+    except (ValidationError, InputError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, ValidationError) else 2
     finally:
         if collecting:
             gc.enable()
@@ -239,7 +239,7 @@ def _input_guard(inputs: Sequence[Path]) -> Callable[[Path], Path | None]:
 
 def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | None = None,
                 report_format: str = "text", order: str = ASCENDING,
-                levels: str = DEEPEST_ONLY, stderr: TextIO | None = None) -> int:
+                levels: str = DEEPEST_ONLY) -> int:
     """Grade one student and return the exit status.  The report goes to
     `out_path`, or to stdout when it is None."""
     def run() -> None:
@@ -255,12 +255,12 @@ def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | No
         else:
             sys.stdout.write(report)
 
-    return _exit_status(run, stderr)
+    return _exit_status(run)
 
 
 def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = None,
               out_dir: str = ".", report_format: str = "text", order: str = ASCENDING,
-              levels: str = DEEPEST_ONLY, stderr: TextIO | None = None) -> int:
+              levels: str = DEEPEST_ONLY) -> int:
     """Grade every roster row and return the exit status.  Each row's report
     is ``<out_dir>/<register_no>.<format>``, followed by a cohort summary;
     a relative map path is resolved against `maps_dir`."""
@@ -284,11 +284,11 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
         out.mkdir(parents=True, exist_ok=True)
         summary_rows: list[tuple[str, str, str]] = []
         for rec, report_name, map_path in zip(roster, report_names, map_paths):
-            fault = f"student {rec.register_no} ({map_path})"
+            fault = f"student {rec.register_no}"
             try:
                 # A FIFO or device would block the read.
                 if not map_path.is_file():
-                    raise InputError("missing or not a regular file")
+                    raise InputError(f"{map_path}: missing or not a regular file")
                 result, graded, report = _student_report(
                     teacher, map_path, report_format, order, levels)
             except ValidationError as exc:
@@ -308,4 +308,13 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
             writer.writerow(["register_no", "expected_result", "grades"])
             writer.writerows(summary_rows)
 
-    return _exit_status(run, stderr)
+    return _exit_status(run)
+
+
+def run_validate(map_path: str) -> int:
+    """Check that one map file is a valid rooted tree; return the exit status."""
+    def run() -> None:
+        parse_concept_map_file(map_path)
+        print(f"valid: {map_path}")
+
+    return _exit_status(run)

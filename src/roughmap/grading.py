@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import TRUNCATION_PLACES, AnalysisResult, ImportanceRecord, LevelRegions
 from .conceptmap import from_columns
-from .errors import PercentRangeError, ReportFormatError
+from .errors import PercentRangeError, ReportFormatError, ValidationError
 
 __all__ = [
     "GradeBand",
@@ -121,7 +121,7 @@ def remediation_sequence(
 ) -> RemediationPlan:
     """Nodes with alpha below 1, sorted by alpha; ties broken by node id."""
     if order not in (ASCENDING, DESCENDING):
-        raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
+        raise ValidationError(f"order must be 'asc' or 'desc', got {order!r}")
     pending = list(compress(records, map(lt, map(_overlap, records), map(_child_count, records))))
     # Two stable passes give the (alpha, node) / (-alpha, node) order with no
     # tuple keys or negated Fractions; reverse=True keeps ties in node order.

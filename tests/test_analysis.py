@@ -13,7 +13,7 @@ from roughmap.analysis import (
     truncated,
 )
 from roughmap.conceptmap import integrate, validate_map
-from roughmap.errors import NothingToAnalyzeError
+from roughmap.errors import NothingToAnalyzeError, ValidationError
 from roughmap.grading import format_fraction, grade_records
 
 
@@ -98,7 +98,7 @@ class TestAnalyze:
 
     def test_unknown_level_rejected(self, sample_integrated):
         for levels in ("bogus", [1], {2}, {3}, set()):
-            with pytest.raises(ValueError, match="levels must be 'deepest' or 'all', got "):
+            with pytest.raises(ValidationError, match="levels must be 'deepest' or 'all', got "):
                 analyze(sample_integrated, levels)
 
     def test_perfect_student_scores_one(self, teacher_map):

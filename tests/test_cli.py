@@ -147,7 +147,7 @@ class TestValidateCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"subject":"x","nodes":[{"id":"A","parent":null},{"id":"B","parent":null}]}')
         assert main(["validate", str(bad)]) == 1
-        assert "invalid" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {bad}: multiple root nodes: ['A', 'B']\n")
 
     def test_unparseable_map(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -160,28 +160,45 @@ class TestValidateCommand:
 
 
 class TestHostileMapFiles:
-    """Malformed map files end in exit 2 with one diagnostic line."""
+    """Malformed map files end in exit 2, invalid ones in exit 1, with one
+    diagnostic line that names the file once."""
 
     @staticmethod
-    def _exits_2_with_one_line(map_path, capsys):
+    def _exits_with_one_line(map_path, capsys, status):
+        """The stderr of `validate`, of `analyze` with the map as teacher and
+        as student, and of a one-row `batch`, after checking each."""
+        roster = map_path.parent / "roster.csv"
+        write_roster(roster, [("R1", "a", "d", "s", "sub", map_path.name)])
+        errs = []
         for argv in (["validate", str(map_path)],
-                     ["analyze", "--teacher", TEACHER, "--student", str(map_path)]):
-            assert main(argv) == 2
+                     ["analyze", "--teacher", str(map_path), "--student", STUDENT],
+                     ["analyze", "--teacher", TEACHER, "--student", str(map_path)],
+                     ["batch", "--teacher", TEACHER, "--roster", str(roster), "--maps-dir",
+                      str(map_path.parent), "--out-dir", str(map_path.parent / "out")]):
+            assert main(argv) == status
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-            assert str(map_path) in captured.err
+            assert captured.err.count(str(map_path)) == 1
+            errs.append(captured.err)
+        return errs
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000, encoding="utf-8")
-        self._exits_2_with_one_line(deep, capsys)
+        self._exits_with_one_line(deep, capsys, 2)
 
     def test_non_utf8_file(self, tmp_path, capsys):
         utf16 = tmp_path / "utf16.json"
         utf16.write_bytes(b"\xff\xfe" + '{"nodes": []}'.encode("utf-16-le"))
-        self._exits_2_with_one_line(utf16, capsys)
+        self._exits_with_one_line(utf16, capsys, 2)
 
+    def test_two_roots(self, tmp_path, capsys):
+        bad = tmp_path / "tworoots.json"
+        bad.write_text('{"subject":"x","nodes":[{"id":"A","parent":null},{"id":"B","parent":null}]}')
+        line = f"{bad}: multiple root nodes: ['A', 'B']\n"
+        assert self._exits_with_one_line(bad, capsys, 1) == [
+            *[f"error: {line}"] * 3, f"error: student R1: {line}"]
 
     def test_lone_surrogate_id(self, tmp_path, capsys):
         """JSON can spell a lone surrogate, which no UTF-8 report can hold:
@@ -207,7 +224,7 @@ class TestHostileMapFiles:
         out_dir = tmp_path / "out"
         assert main(["batch", "--teacher", TEACHER, "--roster", str(roster),
                      "--maps-dir", str(tmp_path), "--out-dir", str(out_dir)]) == 2
-        assert capsys.readouterr() == ("", line.replace("error: ", f"error: student R1 ({bad}): "))
+        assert capsys.readouterr() == ("", line.replace("error: ", "error: student R1: "))
         assert list(out_dir.iterdir()) == []
 
 
@@ -291,7 +308,7 @@ class TestBatchCommand:
         code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
                      "--maps-dir", str(tmp_path), "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err == f"error: student R1 ({student}): {SUBJECTS_DIFFER}\n"
+        assert capsys.readouterr().err == f"error: student R1: {SUBJECTS_DIFFER}\n"
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_missing_student_map_names_register_and_path(self, tmp_path, capsys, kind):
@@ -303,7 +320,7 @@ class TestBatchCommand:
                      "--maps-dir", str(tmp_path), "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: student R9 ({tmp_path / 'nowhere.json'}): missing or not a regular file\n")
+            f"error: student R9: {tmp_path / 'nowhere.json'}: missing or not a regular file\n")
 
     @pytest.mark.parametrize("register_no,report_format", [
         *((name, "text") for name in ("../escaped", "a/b", "a\\b", ".", "..", "CSE\n01")),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -19,6 +20,8 @@ from roughmap.fileio import (
     parse_concept_map,
     parse_concept_map_file,
     parse_roster,
+    run_analyze,
+    run_batch,
 )
 
 
@@ -146,3 +149,56 @@ class TestRosterFuzz:
     def test_nul_in_a_cell_is_data(self, roster_file):
         roster_file.write_text(f"{ROSTER_HEADER}R1,a\x00b,d,s,sub,m.json\n")
         assert [r.name for r in parse_roster(roster_file)] == ["a\x00b"]
+
+
+# A UTF-8 document's bytes, recoded: three ways that are not UTF-8, and one
+# that is.  (UTF-16 or UTF-32 ASCII text with no byte order mark is valid
+# UTF-8, with NUL characters.)
+ENCODINGS = {
+    "utf-16-bom": lambda data: data.decode("utf-8").encode("utf-16"),
+    "utf-32-bom": lambda data: data.decode("utf-8").encode("utf-32"),
+    "stray-0xff": lambda data: data + b"\xff",
+    "utf-8-bom": lambda data: b"\xef\xbb\xbf" + data,
+}
+# Each way a file's bytes come in: (reader of a path, sample file, error class).
+WAYS_IN = {
+    "parse_concept_map": (lambda path: parse_concept_map(path.read_bytes(), str(path)).nodes,
+                          "teacher_map.json", MapFileParseError),
+    "parse_concept_map_file": (lambda path: parse_concept_map_file(path).nodes,
+                               "teacher_map.json", MapFileParseError),
+    "parse_roster": (parse_roster, "roster.csv", RosterSchemaError),
+}
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("way_in", WAYS_IN)
+def test_one_decode_rule(tmp_path, way_in, encoding):
+    """Every way in reads UTF-8, less one byte order mark, and refuses
+    anything else with its layer's error."""
+    read, name, error = WAYS_IN[way_in]
+    path = tmp_path / name
+    path.write_bytes(ENCODINGS[encoding]((DATA_DIR / name).read_bytes()))
+    if encoding == "utf-8-bom":
+        assert read(path) == read(DATA_DIR / name)
+    else:
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
+            read(path)
+
+
+@pytest.mark.parametrize("knob, message", [
+    ({"report_format": "pdf"}, "unknown report format: 'pdf'"),
+    ({"order": "sideways"}, "order must be 'asc' or 'desc', got 'sideways'"),
+    ({"levels": "x"}, "levels must be 'deepest' or 'all', got 'x'"),
+], ids=["report_format", "order", "levels"])
+@pytest.mark.parametrize("run", ["run_analyze", "run_batch"])
+def test_bad_knob_exits_1_with_one_line(tmp_path, capsys, run, knob, message):
+    """A library caller's bad knob is a validation fault, not a traceback."""
+    teacher = str(DATA_DIR / "teacher_map.json")
+    if run == "run_analyze":
+        code = run_analyze(teacher, str(DATA_DIR / "student_map.json"), **knob)
+    else:
+        code = run_batch(teacher, str(DATA_DIR / "roster.csv"), str(DATA_DIR),
+                         str(tmp_path / "out"), **knob)
+    assert code == 1
+    blamed = "" if run == "run_analyze" else "student CSE001: "
+    assert capsys.readouterr() == ("", f"error: {blamed}{message}\n")

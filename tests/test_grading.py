@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import strategies
 from roughmap.analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, ImportanceRecord, analyze
 from roughmap.conceptmap import integrate, validate_map
-from roughmap.errors import PercentRangeError, ReportFormatError
+from roughmap.errors import PercentRangeError, ReportFormatError, ValidationError
 from roughmap.grading import (
     EXPECTED_RESULT_PLACES,
     GRADE_BANDS,
@@ -159,7 +159,7 @@ class TestRemediationSequence:
         assert [s.node for s in desc.steps] == ["a", "b", "c"]
 
     def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^order must be 'asc' or 'desc', got 'upwards'$"):
             remediation_sequence([], "upwards")
 
     @given(st.dictionaries(

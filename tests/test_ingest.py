@@ -37,6 +37,7 @@ from roughmap.errors import (
     RootMismatchError,
     RoughMapError,
     UnknownParentError,
+    ValidationError,
 )
 from roughmap import fileio
 from roughmap.analysis import analyze, level_regions
@@ -126,7 +127,10 @@ def reference_parse(text: str, source: str = "<string>") -> tuple:
         if phrase is not None and not isinstance(phrase, str):
             raise MapFileParseError(f"{source}: nodes[{i}].phrase must be a string")
         nodes.append((nid, parent, phrase))
-    return (subject, *reference_validate(nodes))
+    try:
+        return (subject, *reference_validate(nodes))
+    except ValidationError as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
 
 
 def reference_integrate(teacher, student) -> tuple:

@@ -9,7 +9,6 @@ that a run leaves the collector as it found it.
 from __future__ import annotations
 
 import gc
-import io
 import json
 
 import pytest
@@ -50,13 +49,12 @@ def unreachable_after(run):
 
 
 def single(tmp_path, student=STUDENT, teacher=TEACHER, **knobs):
-    return lambda: run_analyze(teacher, student, str(tmp_path / "report"),
-                               stderr=io.StringIO(), **knobs)
+    return lambda: run_analyze(teacher, student, str(tmp_path / "report"), **knobs)
 
 
 def batch(tmp_path, roster=str(DATA_DIR / "roster.csv"), maps_dir=str(DATA_DIR)):
     return lambda: run_batch(TEACHER, roster, maps_dir, str(tmp_path / "out"), "json",
-                             levels="all", stderr=io.StringIO())
+                             levels="all")
 
 
 class TestNoCycles:
@@ -76,9 +74,11 @@ class TestNoCycles:
     def test_exit_2_missing_file(self, tmp_path):
         assert unreachable_after(single(tmp_path, str(tmp_path / "absent.json"))) == (2, 0)
 
-    @pytest.mark.parametrize("map_name, expected", [("other_root.json", 1), ("absent.json", 2)])
+    @pytest.mark.parametrize("map_name, expected",
+                             [("other_root.json", 1), ("two_roots.json", 1), ("absent.json", 2)])
     def test_batch_failing_student(self, tmp_path, map_name, expected):
         root_mismatch_map(tmp_path)
+        write_map(tmp_path / "two_roots.json", [("A", None), ("B", None)])
         roster = tmp_path / "roster.csv"
         roster.write_text(f"register_no,name,department,semester,subject,map_path\n"
                           f"R1,a,d,s,sub,{map_name}\n", encoding="utf-8")
