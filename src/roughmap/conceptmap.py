@@ -8,14 +8,15 @@ map).
 
 Maps are held as columns (ids, parents, and phrases or levels and colors):
 checks are set operations, and a per-node loop runs only to name an
-offender.  A map is checked when it is made.  One memoised walk up the
-parent links finds cycles and gives each node's depth, and only a node it
-leaves unresolved calls for the search for unknown parents.  Every map
-carries its `parent_of` dict and those depths, so integration walks only
-the student-only nodes, from their teacher parents' depths.
-An integrated map buckets its nodes by level for analysis when it is made.
-The `nodes` rows and `children_of` are built on first read, so a CLI run
-builds neither.
+offender.  A map is checked when it is made.  The node rules (a node's
+fields and their ``nodes[i]...`` messages) are stated once, here, for maps
+built by hand and for map files.  One memoised walk up the parent links
+finds cycles and gives each node's depth, and only a node it leaves
+unresolved calls for the search for unknown parents.  Every map carries its
+`parent_of` dict and those depths, so integration walks only the
+student-only nodes, from their teacher parents' depths.  An integrated map
+buckets its nodes by level for analysis when it is made.  The `nodes` rows
+and `children_of` are built on first read, so a CLI run builds neither.
 """
 
 from __future__ import annotations
@@ -66,17 +67,17 @@ class MapNode(NamedTuple):
 class ConceptMap(Frozen):
     """Rooted tree of concept nodes, as `ids`, `parents` and `phrases` columns.
 
-    The tree is checked when the map is made, with :func:`validate_map`'s
-    errors, and the map carries `parent_of` (node -> parent) and `depth`
-    (node -> depth).  The file parser's map builds its `nodes` on first read.
+    Its nodes' fields and then its tree are checked when it is made, with
+    :func:`validate_map`'s errors, and it carries `parent_of` (node -> parent)
+    and `depth` (node -> depth).  The file parser's map builds `nodes` on first read.
     """
 
     def __init__(self, subject: str, nodes: Iterable[MapNode]) -> None:
         nodes = tuple(nodes)
         ids, parents, phrases = (tuple(map(attrgetter(field), nodes)) for field in MapNode._fields)
-        for nid in ids:
-            if not isinstance(nid, str):
-                raise MapValidationError(f"node id must be a string: {nid!r}")
+        fault = _node_fault(ids, parents, phrases)
+        if fault is not None:
+            raise MapValidationError(fault)
         self.__dict__.update(subject=subject, nodes=nodes, ids=ids, parents=parents,
                              phrases=phrases)
         self._check()
@@ -172,6 +173,34 @@ class IntegratedMap(Frozen):
         for blocks in self._by_level[2][1:]:
             children.update(zip(blocks, map(tuple, blocks.values())))
         return children
+
+
+_OPTIONAL_STR = {str, type(None)}
+
+
+def _node_fault(ids: tuple, parents: tuple, phrases: tuple) -> str | None:
+    """The first node that breaks a field rule, as ``nodes[i]...``, or None.
+
+    The columns are checked whole: the ids by encoding their join, which
+    fails on a non-string or a lone surrogate, the parents' and phrases'
+    types as sets.  Only a failing map is checked node by node."""
+    try:
+        "".join(ids).encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        pass
+    else:
+        if set(map(type, parents)) | set(map(type, phrases)) <= _OPTIONAL_STR:
+            return None
+    for i, (nid, parent, phrase) in enumerate(zip(ids, parents, phrases)):
+        if not isinstance(nid, str):
+            return f"nodes[{i}].id must be a string"
+        if any("\ud800" <= c <= "\udfff" for c in nid):
+            return f"nodes[{i}].id is not valid UTF-8 text"
+        if parent is not None and not isinstance(parent, str):
+            return f"nodes[{i}].parent must be a string or null"
+        if phrase is not None and not isinstance(phrase, str):
+            return f"nodes[{i}].phrase must be a string"
+    return None
 
 
 def from_columns(cls, *columns) -> tuple:

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .analysis import DEEPEST_ONLY, AnalysisResult, analyze
-from .conceptmap import ConceptMap, integrate, validate_map
+from .conceptmap import ConceptMap, _node_fault, integrate, validate_map
 from .errors import (
     DuplicateRegisterError,
     InputError,
@@ -62,10 +62,6 @@ __all__ = [
     "run_validate",
 ]
 
-ROSTER_COLUMNS = ("register_no", "name", "department", "semester", "subject", "map_path")
-SUMMARY_FILENAME = "cohort_summary.csv"
-
-
 class RosterRecord(NamedTuple):
     register_no: str
     name: str
@@ -75,8 +71,10 @@ class RosterRecord(NamedTuple):
     map_path: str
 
 
+ROSTER_COLUMNS = RosterRecord._fields
+SUMMARY_FILENAME = "cohort_summary.csv"
+
 _ID, _PARENT = itemgetter("id"), itemgetter("parent")
-_OPTIONAL_STR = {str, type(None)}
 # A path separator or a control character (Unicode category Cc).
 _UNSAFE_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]").search
 
@@ -90,38 +88,33 @@ def _utf8(data: bytes, source: str, error: type[InputError]) -> str:
 
 
 def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
-    """The id, parent and phrase columns of a map's entries, read in bulk (a
-    non-object entry raises TypeError) and checked whole: the ids by encoding
-    their join, which fails on a non-string or a lone surrogate, the others'
-    types as sets.  Only a failing map is checked entry by entry."""
+    """The id, parent and phrase columns of a map's entries, read in bulk and
+    checked by `conceptmap`'s node rules.  Only when the bulk read fails (an
+    entry that is not an object with 'id' and 'parent') is the first such
+    entry looked for; a node fault in an entry before it is reported first."""
+    fault = None
     try:
         ids, parents = tuple(map(_ID, entries)), tuple(map(_PARENT, entries))
-        "".join(ids).encode("utf-8")
-    except (KeyError, TypeError, UnicodeEncodeError):
-        pass
-    else:
-        phrases = tuple(map(dict.get, entries, repeat("phrase")))
-        if set(map(type, parents)) | set(map(type, phrases)) <= _OPTIONAL_STR:
-            return ids, parents, phrases
-    # Some entry failed a bulk check, so this loop raises.
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "id" not in entry or "parent" not in entry:
-            raise MapFileParseError(f"{source}: nodes[{i}] must be an object with 'id' and 'parent'")
-        nid, parent, phrase = entry["id"], entry["parent"], entry.get("phrase")
-        if not isinstance(nid, str):
-            raise MapFileParseError(f"{source}: nodes[{i}].id must be a string")
-        if any("\ud800" <= c <= "\udfff" for c in nid):
-            raise MapFileParseError(f"{source}: nodes[{i}].id is not valid UTF-8 text")
-        if parent is not None and not isinstance(parent, str):
-            raise MapFileParseError(f"{source}: nodes[{i}].parent must be a string or null")
-        if phrase is not None and not isinstance(phrase, str):
-            raise MapFileParseError(f"{source}: nodes[{i}].phrase must be a string")
+    except (KeyError, TypeError):
+        i = next(i for i, entry in enumerate(entries)
+                 if not isinstance(entry, dict) or "id" not in entry or "parent" not in entry)
+        fault, entries = f"nodes[{i}] must be an object with 'id' and 'parent'", entries[:i]
+        ids, parents = tuple(map(_ID, entries)), tuple(map(_PARENT, entries))
+    phrases = tuple(map(dict.get, entries, repeat("phrase")))
+    fault = _node_fault(ids, parents, phrases) or fault
+    if fault is not None:
+        raise MapFileParseError(f"{source}: {fault}")
+    return ids, parents, phrases
 
 
 def parse_concept_map(text: str | bytes, source: str = "<string>") -> ConceptMap:
     """Parse and validate the JSON concept-map format; every error names `source`."""
     if isinstance(text, bytes):
         text = _utf8(text, source, MapFileParseError)
+    nul = text.find("\0")  # JSON holds no raw NUL; ASCII in UTF-16 or UTF-32 is full of them
+    if nul >= 0:
+        raise MapFileParseError(
+            f"{source}: NUL character at index {nul}: not UTF-8 JSON (UTF-16 or UTF-32?)")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -155,7 +148,8 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
             raise RosterSchemaError(f"{path}: empty roster file")
         missing = [c for c in ROSTER_COLUMNS if c not in reader.fieldnames]
         if missing:
-            raise RosterSchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+            nul = "; NUL in the header (UTF-16 or UTF-32?)" * ("\0" in "".join(reader.fieldnames))
+            raise RosterSchemaError(f"{path}: missing column(s): {', '.join(missing)}{nul}")
         records: list[RosterRecord] = []
         seen: set[str] = set()
         end = reader.line_num  # where the header ends
@@ -176,16 +170,7 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
             if register_no in seen:
                 raise DuplicateRegisterError(f"{path}: duplicate register_no {register_no!r}")
             seen.add(register_no)
-            records.append(
-                RosterRecord(
-                    register_no=register_no,
-                    name=row["name"],
-                    department=row["department"],
-                    semester=row["semester"],
-                    subject=row["subject"],
-                    map_path=row["map_path"],
-                )
-            )
+            records.append(RosterRecord(register_no, *map(row.get, ROSTER_COLUMNS[1:])))
     except csv.Error as exc:
         raise RosterSchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
     return tuple(records)

@@ -71,9 +71,10 @@ class TestValidateMap:
 
     @pytest.mark.parametrize("nid", [None, 5])
     def test_non_string_id(self, nid):
-        """Refused with one line naming the id; a None id used to be dropped
-        from `depth`, and `integrate` then raised a bare KeyError."""
-        with pytest.raises(MapValidationError, match=f"^node id must be a string: {nid!r}$"):
+        """Refused with one line naming the node, as in a map file; a None id
+        used to be dropped from `depth`, and `integrate` then raised a bare
+        KeyError."""
+        with pytest.raises(MapValidationError, match=r"^nodes\[1\]\.id must be a string$"):
             validate_map([("S1", None), (nid, "S1")])
 
     @pytest.mark.parametrize("nodes", INVALID_NODE_LISTS.values(), ids=INVALID_NODE_LISTS)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import re
 
 import hypothesis.strategies as st
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import DATA_DIR, by_id
-from roughmap.conceptmap import integrate
+from roughmap.conceptmap import ConceptMap, MapNode, integrate, validate_map
 from roughmap.errors import (
     DuplicateNodeError,
     DuplicateRegisterError,
     MapFileParseError,
+    MapValidationError,
     RosterSchemaError,
     RoughMapError,
 )
@@ -68,6 +70,32 @@ class TestParseConceptMap:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             parse_concept_map_file(tmp_path / "absent.json")
+
+
+# A second node that breaks one field rule, and the rule's message.
+FIELD_FAULTS = {
+    "id-5": ((5, "S"), "nodes[1].id must be a string"),
+    "id-None": ((None, "S"), "nodes[1].id must be a string"),
+    "id-surrogate": (("A\ud800", "S"), "nodes[1].id is not valid UTF-8 text"),
+    "parent-list": (("A", ["S"]), "nodes[1].parent must be a string or null"),
+    "phrase-5": (("A", "S", 5), "nodes[1].phrase must be a string"),
+}
+
+
+@pytest.mark.parametrize("node, message", FIELD_FAULTS.values(), ids=FIELD_FAULTS)
+def test_one_set_of_node_rules(node, message):
+    """A map file and a node list break a field rule with one message: the
+    file's names its source and exits 2, the node list's raises
+    MapValidationError, from `validate_map` and from `ConceptMap` alike."""
+    nodes = [("S", None), node]
+    text = json.dumps({"nodes": [dict(zip(MapNode._fields, row)) for row in nodes]})
+    with pytest.raises(MapFileParseError) as from_file:
+        parse_concept_map(text, "m.json")
+    assert str(from_file.value) == f"m.json: {message}"
+    for build in (validate_map, lambda rows: ConceptMap("s", [MapNode(*row) for row in rows])):
+        with pytest.raises(MapValidationError) as from_list:
+            build(nodes)
+        assert (type(from_list.value), str(from_list.value)) == (MapValidationError, message)
 
 
 class TestParseRoster:
@@ -151,14 +179,17 @@ class TestRosterFuzz:
         assert [r.name for r in parse_roster(roster_file)] == ["a\x00b"]
 
 
-# A UTF-8 document's bytes, recoded: three ways that are not UTF-8, and one
-# that is.  (UTF-16 or UTF-32 ASCII text with no byte order mark is valid
-# UTF-8, with NUL characters.)
+# A UTF-8 document's bytes, recoded: three ways that are not UTF-8, one
+# that is, and three that are UTF-8 only because the document is ASCII
+# text: UTF-16 or UTF-32 with no byte order mark, NUL beside every character.
 ENCODINGS = {
     "utf-16-bom": lambda data: data.decode("utf-8").encode("utf-16"),
     "utf-32-bom": lambda data: data.decode("utf-8").encode("utf-32"),
     "stray-0xff": lambda data: data + b"\xff",
     "utf-8-bom": lambda data: b"\xef\xbb\xbf" + data,
+    "utf-16-le": lambda data: data.decode("utf-8").encode("utf-16-le"),
+    "utf-16-be": lambda data: data.decode("utf-8").encode("utf-16-be"),
+    "utf-32-le": lambda data: data.decode("utf-8").encode("utf-32-le"),
 }
 # Each way a file's bytes come in: (reader of a path, sample file, error class).
 WAYS_IN = {
@@ -174,14 +205,16 @@ WAYS_IN = {
 @pytest.mark.parametrize("way_in", WAYS_IN)
 def test_one_decode_rule(tmp_path, way_in, encoding):
     """Every way in reads UTF-8, less one byte order mark, and refuses
-    anything else with its layer's error."""
+    anything else with its layer's error, which names a NUL when the bytes
+    are UTF-8 only by accident."""
     read, name, error = WAYS_IN[way_in]
     path = tmp_path / name
     path.write_bytes(ENCODINGS[encoding]((DATA_DIR / name).read_bytes()))
     if encoding == "utf-8-bom":
         assert read(path) == read(DATA_DIR / name)
     else:
-        with pytest.raises(error, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
+        fault = "not UTF-8 text: " if encoding.endswith(("bom", "0xff")) else ".*NUL"
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: {fault}"):
             read(path)
 
 
