@@ -119,6 +119,11 @@ def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
                         map(tuple, neg[deepest_first]), map(tuple, blocks[deepest_first]))
 
 
+def _check_levels(levels: str) -> None:
+    if levels not in (DEEPEST_ONLY, ALL_LEVELS):
+        raise ValidationError(f"levels must be 'deepest' or 'all', got {levels!r}")
+
+
 def analyze(imap: IntegratedMap, levels: str = DEEPEST_ONLY) -> AnalysisResult:
     """Compute regions plus one importance record per processed boundary node.
 
@@ -126,13 +131,9 @@ def analyze(imap: IntegratedMap, levels: str = DEEPEST_ONLY) -> AnalysisResult:
     level's boundary set, or ``"all"``, which processes every level's.  The
     expected result is the mean of the records' truncated alphas.
     """
+    _check_levels(levels)
     all_regions = level_regions(imap)
-    if levels == DEEPEST_ONLY:
-        chosen = all_regions[:1]
-    elif levels == ALL_LEVELS:
-        chosen = all_regions
-    else:
-        raise ValidationError(f"levels must be 'deepest' or 'all', got {levels!r}")
+    chosen = all_regions if levels == ALL_LEVELS else all_regions[:1]
     nodes = list(chain.from_iterable(map(_bnd, chosen)))
     node_levels = chain.from_iterable(map(repeat, map(sub, map(_level, chosen), repeat(1)),
                                           map(len, map(_bnd, chosen))))

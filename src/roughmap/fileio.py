@@ -31,7 +31,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .analysis import DEEPEST_ONLY, AnalysisResult, analyze
+from .analysis import DEEPEST_ONLY, AnalysisResult, _check_levels, analyze
 from .conceptmap import ConceptMap, _node_fault, integrate, validate_map
 from .errors import (
     DuplicateRegisterError,
@@ -44,6 +44,7 @@ from .grading import (
     ASCENDING,
     EXPECTED_RESULT_PLACES,
     GradedRecord,
+    _check_order, _check_report_format,
     format_fraction,
     grade_records,
     remediation_sequence,
@@ -250,6 +251,9 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
     is ``<out_dir>/<register_no>.<format>``, followed by a cohort summary;
     a relative map path is resolved against `maps_dir`."""
     def run() -> None:
+        _check_levels(levels)
+        _check_order(order)
+        _check_report_format(report_format)
         teacher = parse_concept_map_file(teacher_map_path)
         roster = parse_roster(roster_path)
         report_names = [f"{rec.register_no}.{report_format}" for rec in roster]

@@ -116,12 +116,16 @@ def grade_records(records: Sequence[ImportanceRecord]) -> tuple[GradedRecord, ..
                         map(_GRADE_OF_PERCENT.__getitem__, percents))
 
 
+def _check_order(order: str) -> None:
+    if order not in (ASCENDING, DESCENDING):
+        raise ValidationError(f"order must be 'asc' or 'desc', got {order!r}")
+
+
 def remediation_sequence(
     records: Sequence[ImportanceRecord], order: str = ASCENDING
 ) -> RemediationPlan:
     """Nodes with alpha below 1, sorted by alpha; ties broken by node id."""
-    if order not in (ASCENDING, DESCENDING):
-        raise ValidationError(f"order must be 'asc' or 'desc', got {order!r}")
+    _check_order(order)
     pending = list(compress(records, map(lt, map(_overlap, records), map(_child_count, records))))
     # Two stable passes give the (alpha, node) / (-alpha, node) order with no
     # tuple keys or negated Fractions; reverse=True keeps ties in node order.
@@ -319,6 +323,11 @@ _RENDERERS = {"text": _render_text, "csv": _render_csv, "json": _render_json}
 REPORT_FORMATS = tuple(_RENDERERS)
 
 
+def _check_report_format(report_format: str) -> None:
+    if report_format not in REPORT_FORMATS:
+        raise ReportFormatError(f"unknown report format: {report_format!r}")
+
+
 def render_report(
     result: AnalysisResult,
     graded: Sequence[GradedRecord],
@@ -326,8 +335,7 @@ def render_report(
     report_format: str = "text",
 ) -> str:
     """Serialize one analysis deterministically in the requested format."""
-    if report_format not in REPORT_FORMATS:
-        raise ReportFormatError(f"unknown report format: {report_format!r}")
+    _check_report_format(report_format)
     return _RENDERERS[report_format](result, graded, plan)
 
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import importlib.util
+import io
 import json
 import os
+import shlex
+import subprocess
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -13,7 +19,7 @@ from hypothesis import given, settings
 
 import strategies
 from conftest import DATA_DIR, REPO_ROOT
-from roughmap.cli import main
+from roughmap.cli import COMMANDS, _read, build_parser, main
 from roughmap.grading import REPORT_FORMATS, parse_report
 
 TEACHER = str(DATA_DIR / "teacher_map.json")
@@ -502,3 +508,159 @@ class TestArgparseSurface:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--teacher", TEACHER, "--student", STUDENT, "--format", "pdf"])
         assert exc.value.code == 2
+
+
+def argparse_values(argv):
+    """`vars()` of argparse's namespace for `argv`, or None when argparse
+    exits (help or a usage error), with its output swallowed."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# Values with no "-", so argparse reads each as a value.
+VALUES = st.text(alphabet="ab/. =", max_size=4)
+
+
+@st.composite
+def plain_command_lines(draw):
+    """A command line the direct reader takes: a command and some of its
+    flags, each once and in any order, every required flag among them."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    if command == "validate":
+        return [command, draw(VALUES)]
+    pairs = [[name, draw(st.sampled_from(choices) if choices else VALUES)]
+             for name, choices, _, required, _ in COMMANDS[command][1]
+             if required or draw(st.booleans())]
+    return [command, *chain.from_iterable(draw(st.permutations(pairs)))]
+
+
+def edit(argv, kind, at):
+    """`argv` with one edit of `kind` at token `at` (modulo its length)."""
+    argv = list(argv)
+    i = at % len(argv) if argv else 0
+    if kind == "drop":
+        del argv[i:i + 1]
+    elif kind == "repeat":
+        argv[i:i] = argv[i:i + 2]
+    elif kind == "abbreviate":
+        argv[i:i + 1] = [token[:max(1, len(token) - 2)] for token in argv[i:i + 1]]
+    elif kind == "equals":
+        argv[i:i + 2] = ["=".join(argv[i:i + 2])]
+    elif kind == "dash":
+        argv[i:i + 1] = ["-" + token for token in argv[i:i + 1]]
+    elif kind == "bad choice":
+        argv[i:i + 1] = ["pdf"]
+    elif kind == "positional":
+        argv.insert(i, "extra")
+    elif kind == "empty":
+        argv.insert(i, "")
+    else:
+        argv.insert(i, "-h")
+    return argv
+
+
+EDITS = ("drop", "repeat", "abbreviate", "equals", "dash", "bad choice", "positional", "empty",
+         "help")
+
+
+def shell_command_lines(path):
+    """The argv of each `roughmap` command in the shell code of `path`, with
+    continuation lines joined, CI's shell variables given a plain value, and
+    each command cut at its first redirection or `||`."""
+    text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+    text = text.replace('"${format%:*}"', "csv").replace("$RUNNER_TEMP", "tmp")
+    lines = []
+    for line in text.splitlines():
+        for start in "roughmap ", "python -m roughmap ":
+            if line.strip().startswith(start):
+                argv = shlex.split(line.strip().removeprefix(start))
+                cut = [i for i, token in enumerate(argv) if token in (">", "2>", "||")]
+                lines.append(argv[:min(cut, default=len(argv))])
+    return lines
+
+
+def bench_run_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("bench_run", REPO_ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses looks it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDirectReader:
+    """A plain command line is read without argparse, into the values
+    argparse would give; every other one goes to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=plain_command_lines(),
+           edits=st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 20)), max_size=3))
+    def test_matches_argparse(self, argv, edits):
+        for kind, at in edits:
+            argv = edit(argv, kind, at)
+        read = _read(argv)
+        if not edits:
+            assert read is not None
+        if read is not None:
+            assert read == argparse_values(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["analyze", "-h"], ["validate"], ["validate", "--", "x"], ["validate", "-x"],
+        ["analyze", "--teach", "t", "--student", "s"], ["analyze", "--teacher=t", "--student", "s"],
+        ["analyze", "--teacher", "t", "--teacher", "t", "--student", "s"],
+        ["analyze", "--teacher", "t", "--student", "s", "--format", "pdf", "--format", "csv"],
+        ["analyze", "--teacher", "t"], ["analyze", "--teacher", "t", "--student", "-s"],
+        ["analyze", "--teacher", "t", "--student", "s", "--format", "pdf"],
+        ["analyze", "--teacher", "t", "--student", "s", "extra"],
+        ["batch", "--teacher", "t", "--roster", "r", "--out", "o"],  # argparse: --out-dir
+    ])
+    def test_falls_back(self, argv):
+        assert _read(argv) is None
+
+    def test_readme_and_ci_command_lines_are_read_directly(self):
+        """Each command line that the README or CI runs and argparse accepts."""
+        readme = shell_command_lines(REPO_ROOT / "README.md")
+        ci = shell_command_lines(REPO_ROOT / ".github" / "workflows" / "ci.yml")
+        accepted = [argv for argv in readme + ci if argparse_values(argv) is not None]
+        assert len(readme) == 4 and readme == accepted[:4] and len(accepted) >= 12
+        assert all(_read(argv) == argparse_values(argv) for argv in accepted)
+
+    def test_bench_command_lines_are_read_directly(self, monkeypatch):
+        bench = bench_run_module(monkeypatch)
+
+        class Inputs:
+            teacher = "t.json"
+
+            def student_map(self, reg):
+                return f"{reg}.json"
+
+        for workload in bench.WORKLOADS.values():
+            for fmt in bench.FORMATS:
+                batch = ["batch", "--teacher", "t.json", "--roster", "r.csv", "--maps-dir", "m",
+                         "--out-dir", "o", "--format", fmt, *workload.flags]
+                analyze = [str(a) for a in bench.analyze_argv(Inputs(), "R1", fmt,
+                                                               workload.flags, "out")]
+                for argv in (batch, analyze):
+                    assert _read(argv) is not None
+                    assert _read(argv) == argparse_values(argv)
+
+    def test_plain_commands_do_not_import_argparse(self, tmp_path):
+        out = tmp_path / "report.txt"
+        commands = [
+            ["analyze", "--teacher", TEACHER, "--student", STUDENT, "--out", str(out)],
+            ["batch", "--teacher", TEACHER, "--roster", str(DATA_DIR / "roster.csv"),
+             "--maps-dir", str(DATA_DIR), "--out-dir", str(tmp_path / "out")],
+            ["validate", TEACHER],
+        ]
+        script = ("import sys\nfrom roughmap.cli import main\n"
+                  f"codes = [main(argv) for argv in {commands!r}]\n"
+                  "print(codes, 'argparse' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+        assert out.is_file() and (tmp_path / "out" / "cohort_summary.csv").is_file()

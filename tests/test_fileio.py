@@ -225,7 +225,9 @@ def test_one_decode_rule(tmp_path, way_in, encoding):
 ], ids=["report_format", "order", "levels"])
 @pytest.mark.parametrize("run", ["run_analyze", "run_batch"])
 def test_bad_knob_exits_1_with_one_line(tmp_path, capsys, run, knob, message):
-    """A library caller's bad knob is a validation fault, not a traceback."""
+    """A library caller's bad knob is a validation fault, not a traceback;
+    `run_batch` refuses it before it makes the output directory, and blames
+    no student."""
     teacher = str(DATA_DIR / "teacher_map.json")
     if run == "run_analyze":
         code = run_analyze(teacher, str(DATA_DIR / "student_map.json"), **knob)
@@ -233,5 +235,5 @@ def test_bad_knob_exits_1_with_one_line(tmp_path, capsys, run, knob, message):
         code = run_batch(teacher, str(DATA_DIR / "roster.csv"), str(DATA_DIR),
                          str(tmp_path / "out"), **knob)
     assert code == 1
-    blamed = "" if run == "run_analyze" else "student CSE001: "
-    assert capsys.readouterr() == ("", f"error: {blamed}{message}\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []

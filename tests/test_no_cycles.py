@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 import strategies
 from conftest import DATA_DIR
 from roughmap import fileio
+from roughmap.cli import main
 from roughmap.fileio import run_analyze, run_batch
 
 TEACHER = str(DATA_DIR / "teacher_map.json")
@@ -34,7 +35,7 @@ def root_mismatch_map(tmp_path):
 
 
 def unreachable_after(run):
-    """Exit status of one run (a call of `run_analyze` or `run_batch`) with
+    """Exit status of one run (a call of `run_analyze`, `run_batch` or `main`) with
     the collector off, and the number of unreachable objects a collection
     finds right after it."""
     gc.collect()
@@ -83,6 +84,17 @@ class TestNoCycles:
         roster.write_text(f"register_no,name,department,semester,subject,map_path\n"
                           f"R1,a,d,s,sub,{map_name}\n", encoding="utf-8")
         assert unreachable_after(batch(tmp_path, str(roster), str(tmp_path))) == (expected, 0)
+
+    @pytest.mark.parametrize("command", ["analyze", "batch", "validate"])
+    def test_plain_command_line(self, tmp_path, command):
+        """`main` reads a plain command line without argparse, whose parser
+        would be left in reference cycles (argparse's fallback is exempt)."""
+        argv = {"analyze": ["analyze", "--teacher", TEACHER, "--student", STUDENT,
+                            "--out", str(tmp_path / "report")],
+                "batch": ["batch", "--teacher", TEACHER, "--roster", str(DATA_DIR / "roster.csv"),
+                          "--maps-dir", str(DATA_DIR), "--out-dir", str(tmp_path / "out")],
+                "validate": ["validate", TEACHER]}[command]
+        assert unreachable_after(lambda: main(argv)) == (0, 0)
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
