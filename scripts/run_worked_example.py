@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from roughmap.analysis import ALL_LEVELS, DEEPEST_ONLY  # noqa: E402
-from roughmap.fileio import _student_report, parse_concept_map_file  # noqa: E402
+from roughmap.fileio import _graded  # noqa: E402
 from roughmap.grading import ASCENDING, DESCENDING, REPORT_FORMATS  # noqa: E402
 
 
@@ -23,11 +23,12 @@ def main() -> int:
     parser.add_argument("--levels", choices=(DEEPEST_ONLY, ALL_LEVELS), default=DEEPEST_ONLY)
     args = parser.parse_args()
 
-    teacher = parse_concept_map_file(ROOT / "data" / "teacher_map.json")
-    result, _, report = _student_report(teacher, ROOT / "data" / "student_map.json",
-                                        args.format, args.order, args.levels)
+    # One job with no report path: the report goes to stdout.
+    job = ("", ROOT / "data" / "student_map.json", None)
+    [(result, _)] = _graded(str(ROOT / "data" / "teacher_map.json"), (), (), [job], None,
+                            args.format, args.order, args.levels)
 
-    print(report)
+    print()
     print("exact importance degrees:")
     for rec in result.records:
         print(f"  {rec.node}: {rec.overlap}/{rec.child_count} = {rec.alpha}"

@@ -11,11 +11,18 @@ text, also a map given to `parse_concept_map` as bytes; one leading byte
 order mark is skipped.  Exit statuses: 0 success, 1 validation/analysis
 error, 2 I/O or parse error; a fault prints one ``error:`` line on stderr.
 
+`analyze` is a `batch` of one, run by `_graded` (after `batch` reads its
+roster): it checks the knobs, refuses (exit 2) an output that is an input
+(``<who> would overwrite input <path>``), a report named cohort_summary.csv
+(``<who> would overwrite cohort_summary.csv``) or, in ``--out-dir``, a
+symlink, where ``<who>`` is ``--out X``, ``<roster>: register_no 'R'`` or
+``<roster>: cohort_summary.csv``, then reads the teacher map, makes
+``--out-dir`` and grades each student.  A map must be a regular file.
+
 A run (`run_analyze`, `run_batch` or `run_validate`) pauses the cyclic
-garbage collector and restores its prior state on every exit.  The
-pipeline builds no reference cycles (tests/test_no_cycles.py checks this),
-so reference counting frees everything it drops and the collector's passes
-over the run's many objects would find nothing.
+garbage collector and restores its prior state on every exit: the pipeline
+builds no reference cycles (tests/test_no_cycles.py checks this), so the
+collector's passes over the run's many objects would find nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import sys
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .analysis import DEEPEST_ONLY, AnalysisResult, _check_levels, analyze
 from .conceptmap import ConceptMap, _node_fault, integrate, validate_map
@@ -177,19 +184,7 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
     return tuple(records)
 
 
-def _student_report(
-    teacher: ConceptMap, student_map_path: str | Path, report_format: str, order: str, levels: str
-) -> tuple[AnalysisResult, tuple[GradedRecord, ...], str]:
-    """The one per-student path of both commands: parse the student map,
-    then integrate, analyze, grade, plan and render."""
-    student = parse_concept_map_file(student_map_path)
-    result = analyze(integrate(teacher, student), levels=levels)
-    graded = grade_records(result.records)
-    plan = remediation_sequence(result.records, order=order)
-    return result, graded, render_report(result, graded, plan, report_format)
-
-
-def _exit_status(run: Callable[[], None]) -> int:
+def _exit_status(run: Callable[[], object]) -> int:
     """Call `run` with the cyclic collector paused and return the process
     exit status: the one place a fault becomes exit 1 (a ValidationError)
     or 2 (an InputError or OSError), with a one-line diagnostic on stderr."""
@@ -206,21 +201,63 @@ def _exit_status(run: Callable[[], None]) -> int:
     return 0
 
 
-def _input_guard(inputs: Sequence[Path]) -> Callable[[Path], Path | None]:
-    """A function from an output path to the first of `inputs` that is the
-    same existing file, reached through any path, symlink or hard link, or
-    None.  Files are told apart by ``(st_dev, st_ino)``; each input is
-    statted once, and each output once per call."""
-    def identity(path: Path) -> tuple[int, int] | None:
-        try:
-            stat = path.stat()
-        except OSError:  # no such file, so nothing to overwrite or to read
-            return None
-        return stat.st_dev, stat.st_ino
+def _write(path: Path | None, text: str) -> None:
+    """Write `text` to the file `path`, or to stdout when it is None."""
+    if path is not None:
+        path.write_text(text, encoding="utf-8")
+    elif sys.stdout is None:  # the process was started with stdout closed
+        raise InputError("stdout is closed")
+    else:
+        sys.stdout.write(text)
 
-    by_identity = {identity(path): path for path in reversed(inputs)}  # the first one wins
+
+def _read_map(path: str | Path) -> ConceptMap:
+    if not Path(path).is_file():  # reading a FIFO or device could block
+        raise InputError(f"{path}: missing or not a regular file")
+    return parse_concept_map_file(path)
+
+
+def _identity(path: Path) -> tuple[int, int] | None:
+    try:
+        return path.stat()[1:3]  # (st_ino, st_dev) of the file, through any link
+    except OSError:  # no such file, so nothing to overwrite or to read
+        return None
+
+
+def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tuple[str, Path]],
+            jobs: Sequence[tuple[str, Path, Path | None]], out_dir: Path | None, report_format: str,
+            order: str, levels: str) -> Iterator[tuple[AnalysisResult, tuple[GradedRecord, ...]]]:
+    """The loop of the module docstring.  A job is (fault prefix, student map,
+    report path or None for stdout); `inputs` are the files read besides maps."""
+    _check_levels(levels)
+    _check_order(order)
+    _check_report_format(report_format)
+    read = (Path(teacher_map_path), *inputs, *(job[1] for job in jobs))
+    by_identity = {_identity(path): path for path in reversed(read)}  # the first one wins
     by_identity.pop(None, None)
-    return lambda target: by_identity.get(identity(target))
+    written: set[Path] = set()
+    for who, path in outputs:
+        replaced = by_identity.get(_identity(path))
+        if replaced is not None:
+            raise InputError(f"{who} would overwrite input {replaced}")
+        if path in written:
+            raise InputError(f"{who} would overwrite {path.name}")
+        if out_dir is not None and path.is_symlink():
+            raise InputError(f"{who} would write through symlink {path}")
+        written.add(path)
+    teacher = _read_map(teacher_map_path)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    for fault, map_path, report_path in jobs:
+        try:
+            result = analyze(integrate(teacher, _read_map(map_path)), levels=levels)
+            graded = grade_records(result.records)
+            plan = remediation_sequence(result.records, order=order)
+            report = render_report(result, graded, plan, report_format)
+        except (ValidationError, InputError, OSError) as exc:
+            raise type(exc)(f"{fault}{exc}") from exc
+        _write(report_path, report)
+        yield result, graded
 
 
 def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | None = None,
@@ -228,20 +265,11 @@ def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | No
                 levels: str = DEEPEST_ONLY) -> int:
     """Grade one student and return the exit status.  The report goes to
     `out_path`, or to stdout when it is None."""
-    def run() -> None:
-        if out_path is not None:
-            out = Path(out_path)
-            replaced = _input_guard((Path(teacher_map_path), Path(student_map_path)))(out)
-            if replaced is not None:
-                raise InputError(f"--out {out} would overwrite input {replaced}")
-        teacher = parse_concept_map_file(teacher_map_path)
-        _, _, report = _student_report(teacher, student_map_path, report_format, order, levels)
-        if out_path is not None:
-            Path(out_path).write_text(report, encoding="utf-8")
-        else:
-            sys.stdout.write(report)
-
-    return _exit_status(run)
+    out = None if out_path is None else Path(out_path)
+    outputs = [] if out is None else [(f"--out {out}", out)]
+    job = ("", Path(student_map_path), out)
+    return _exit_status(lambda: list(_graded(
+        teacher_map_path, (), outputs, [job], None, report_format, order, levels)))
 
 
 def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = None,
@@ -251,51 +279,22 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
     is ``<out_dir>/<register_no>.<format>``, followed by a cohort summary;
     a relative map path is resolved against `maps_dir`."""
     def run() -> None:
-        _check_levels(levels)
-        _check_order(order)
-        _check_report_format(report_format)
-        teacher = parse_concept_map_file(teacher_map_path)
         roster = parse_roster(roster_path)
-        report_names = [f"{rec.register_no}.{report_format}" for rec in roster]
         out = Path(out_dir)
-        map_paths = [Path(maps_dir or ".", rec.map_path) for rec in roster]
-        replaced_input = _input_guard([Path(teacher_map_path), Path(roster_path), *map_paths])
-        for rec, name in zip(roster, report_names):
-            if name == SUMMARY_FILENAME or replaced_input(out / name):
-                raise RosterSchemaError(
-                    f"{roster_path}: register_no {rec.register_no!r} would overwrite {name}"
-                )
-        replaced = replaced_input(out / SUMMARY_FILENAME)
-        if replaced is not None:
-            raise RosterSchemaError(
-                f"{roster_path}: {SUMMARY_FILENAME} would overwrite input {replaced}"
-            )
-        out.mkdir(parents=True, exist_ok=True)
-        summary_rows: list[tuple[str, str, str]] = []
-        for rec, report_name, map_path in zip(roster, report_names, map_paths):
-            fault = f"student {rec.register_no}"
-            try:
-                # A FIFO or device would block the read.
-                if not map_path.is_file():
-                    raise InputError(f"{map_path}: missing or not a regular file")
-                result, graded, report = _student_report(
-                    teacher, map_path, report_format, order, levels)
-            except ValidationError as exc:
-                raise ValidationError(f"{fault}: {exc}") from exc
-            except (InputError, OSError) as exc:
-                raise InputError(f"{fault}: {exc}") from exc
-            (out / report_name).write_text(report, encoding="utf-8")
-            summary_rows.append(
-                (
-                    rec.register_no,
-                    format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
-                    ";".join(f"{g.node}={g.grade}" for g in graded),
-                )
-            )
-        with (out / SUMMARY_FILENAME).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["register_no", "expected_result", "grades"])
-            writer.writerows(summary_rows)
+        outputs, jobs = [(f"{roster_path}: {SUMMARY_FILENAME}", out / SUMMARY_FILENAME)], []
+        for rec in roster:
+            report = out / f"{rec.register_no}.{report_format}"
+            outputs.append((f"{roster_path}: register_no {rec.register_no!r}", report))
+            jobs.append((f"student {rec.register_no}: ", Path(maps_dir or ".", rec.map_path), report))
+        results = _graded(teacher_map_path, (Path(roster_path),), outputs, jobs, out,
+                          report_format, order, levels)  # first in zip, to run with no rows too
+        rows = [(rec.register_no, format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
+                 ";".join(f"{g.node}={g.grade}" for g in graded))
+                for (result, graded), rec in zip(results, roster)]
+        summary = io.StringIO()
+        csv.writer(summary, lineterminator="\n").writerows(
+            [("register_no", "expected_result", "grades"), *rows])
+        _write(out / SUMMARY_FILENAME, summary.getvalue())
 
     return _exit_status(run)
 
@@ -304,6 +303,6 @@ def run_validate(map_path: str) -> int:
     """Check that one map file is a valid rooted tree; return the exit status."""
     def run() -> None:
         parse_concept_map_file(map_path)
-        print(f"valid: {map_path}")
+        _write(None, f"valid: {map_path}\n")
 
     return _exit_status(run)

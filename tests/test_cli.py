@@ -165,6 +165,16 @@ class TestValidateCommand:
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--teacher", TEACHER, "--student", STUDENT],
+                                  ["validate", TEACHER]], ids=["analyze", "validate"])
+def test_closed_stdout_exits_2(monkeypatch, capsys, argv):
+    """A process started with stdout closed has `sys.stdout` None: a command
+    that prints to it exits 2 with one line, not a traceback or silence."""
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: stdout is closed\n"
+
+
 class TestHostileMapFiles:
     """Malformed map files end in exit 2, invalid ones in exit 1, with one
     diagnostic line that names the file once."""
@@ -232,6 +242,28 @@ class TestHostileMapFiles:
                      "--maps-dir", str(tmp_path), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr() == ("", line.replace("error: ", "error: student R1: "))
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command, role", [
+        ("analyze", "teacher"), ("analyze", "student"), ("batch", "teacher"), ("batch", "student")])
+    def test_fifo_map_exits_2_without_blocking(self, tmp_path, command, role):
+        """Reading a FIFO would block, so `analyze` and `batch` read a map only
+        when it is a regular file.  The CLI runs in a subprocess with a
+        timeout, so that a regression fails instead of hanging."""
+        fifo = tmp_path / "fifo.json"
+        os.mkfifo(fifo)
+        maps = {"teacher": TEACHER, "student": STUDENT, role: str(fifo)}
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("R1", "a", "d", "s", "sub", maps["student"])])
+        argv = (["analyze", "--teacher", maps["teacher"], "--student", maps["student"]]
+                if command == "analyze" else
+                ["batch", "--teacher", maps["teacher"], "--roster", str(roster),
+                 "--out-dir", str(tmp_path / "out")])
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-m", "roughmap", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        fault = "student R1: " * (command == "batch" and role == "student")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: {fault}{fifo}: missing or not a regular file\n")
 
 
 class TestByteOrderMark:
@@ -369,8 +401,8 @@ class TestBatchCommand:
                      "--out-dir", str(tmp_path), "--format", report_format])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == (f"error: {roster}: register_no {register_no!r} would overwrite "
-                       f"{register_no}.{report_format}\n")
+        assert err == (f"error: {roster}: register_no {register_no!r} would overwrite input "
+                       f"{tmp_path / register_no}.{report_format}\n")
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("role", ["teacher", "roster", "student_map"])
@@ -390,23 +422,28 @@ class TestBatchCommand:
                                            f"would overwrite input {paths[role]}\n")
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
-    @pytest.mark.parametrize("kind", ["symlink", "hardlink"])
+    @pytest.mark.parametrize("kind", ["symlink", "hardlink", "outside"])
     @pytest.mark.parametrize("output", ["report", "summary"])
     def test_output_links_to_an_input(self, tmp_path, capsys, output, kind):
-        """A report or summary that is already a link to an input is refused
-        before anything is written."""
+        """A report or summary that is already a link to an input, or a
+        symlink to any file, is refused before anything is written."""
         for name in ("teacher_map.json", "student_map.json"):
             (tmp_path / name).write_bytes((DATA_DIR / name).read_bytes())
+        (tmp_path / "victim.txt").write_text("not an input\n", encoding="utf-8")
         roster = tmp_path / "roster.csv"
         write_roster(roster, [("CSE001", "a", "d", "s", "sub", "student_map.json")])
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         if output == "report":
-            name, expected = "CSE001.text", "register_no 'CSE001' would overwrite CSE001.text"
-            make_link(out_dir / name, tmp_path / "student_map.json", kind)
+            name, who, target = "CSE001.text", "register_no 'CSE001'", tmp_path / "student_map.json"
         else:
-            name, expected = "cohort_summary.csv", f"cohort_summary.csv would overwrite input {roster}"
-            make_link(out_dir / name, roster, kind)
+            name, who, target = "cohort_summary.csv", "cohort_summary.csv", roster
+        if kind == "outside":
+            target = tmp_path / "victim.txt"
+            expected = f"{who} would write through symlink {out_dir / name}"
+        else:
+            expected = f"{who} would overwrite input {target}"
+        make_link(out_dir / name, target, "symlink" if kind == "outside" else kind)
         before = file_bytes(tmp_path)
         code = main(["batch", "--teacher", str(tmp_path / "teacher_map.json"),
                      "--roster", str(roster), "--maps-dir", str(tmp_path),
@@ -415,6 +452,27 @@ class TestBatchCommand:
         assert capsys.readouterr().err == f"error: {roster}: {expected}\n"
         assert file_bytes(tmp_path) == before
         assert list(out_dir.iterdir()) == [out_dir / name]
+
+    @pytest.mark.parametrize("command", ["batch", "analyze"])
+    def test_links_written_through(self, tmp_path, command):
+        """A symlinked --out-dir, and an `analyze --out` that links to a file
+        that is not an input, are written through."""
+        target = tmp_path / "target"
+        if command == "batch":
+            target.mkdir()
+            (tmp_path / "out").symlink_to(target)
+            argv = ["batch", "--teacher", TEACHER, "--roster", str(DATA_DIR / "roster.csv"),
+                    "--maps-dir", str(DATA_DIR), "--out-dir", str(tmp_path / "out")]
+            written = target / "CSE001.text"
+        else:
+            target.write_text("old\n", encoding="utf-8")
+            (tmp_path / "out").symlink_to(target)
+            argv = ["analyze", "--teacher", TEACHER, "--student", STUDENT,
+                    "--out", str(tmp_path / "out")]
+            written = target
+        assert main(argv) == 0
+        golden = (REPO_ROOT / "tests" / "golden" / "sample_report.txt").read_bytes()
+        assert written.read_bytes() == golden
 
     def test_input_named_report_in_another_directory(self, tmp_path):
         roster = tmp_path / "roster.csv"

@@ -218,17 +218,18 @@ def test_one_decode_rule(tmp_path, way_in, encoding):
             read(path)
 
 
-@pytest.mark.parametrize("knob, message", [
-    ({"report_format": "pdf"}, "unknown report format: 'pdf'"),
-    ({"order": "sideways"}, "order must be 'asc' or 'desc', got 'sideways'"),
-    ({"levels": "x"}, "levels must be 'deepest' or 'all', got 'x'"),
-], ids=["report_format", "order", "levels"])
+@pytest.mark.parametrize("knob, message, teacher_name", [
+    ({"report_format": "pdf"}, "unknown report format: 'pdf'", "teacher_map.json"),
+    ({"order": "sideways"}, "order must be 'asc' or 'desc', got 'sideways'", "teacher_map.json"),
+    ({"levels": "x"}, "levels must be 'deepest' or 'all', got 'x'", "teacher_map.json"),
+    ({"report_format": "pdf"}, "unknown report format: 'pdf'", "absent.json"),
+], ids=["report_format", "order", "levels", "missing_teacher"])
 @pytest.mark.parametrize("run", ["run_analyze", "run_batch"])
-def test_bad_knob_exits_1_with_one_line(tmp_path, capsys, run, knob, message):
+def test_bad_knob_exits_1_with_one_line(tmp_path, capsys, run, knob, message, teacher_name):
     """A library caller's bad knob is a validation fault, not a traceback;
-    `run_batch` refuses it before it makes the output directory, and blames
-    no student."""
-    teacher = str(DATA_DIR / "teacher_map.json")
+    both commands refuse it before they read a map or make the output
+    directory, and blame no student."""
+    teacher = str(DATA_DIR / teacher_name)
     if run == "run_analyze":
         code = run_analyze(teacher, str(DATA_DIR / "student_map.json"), **knob)
     else:
