@@ -67,13 +67,14 @@ class MapNode(NamedTuple):
 class ConceptMap(Frozen):
     """Rooted tree of concept nodes, as `ids`, `parents` and `phrases` columns.
 
-    Its nodes' fields and then its tree are checked when it is made, with
-    :func:`validate_map`'s errors, and it carries `parent_of` (node -> parent)
-    and `depth` (node -> depth).  The file parser's map builds `nodes` on first read.
+    `nodes` are the rows :func:`validate_map` takes.  Their fields and then
+    the tree are checked when the map is made, with :func:`validate_map`'s
+    errors, and it carries `parent_of` (node -> parent) and `depth` (node ->
+    depth).  The file parser's map builds `nodes` on first read.
     """
 
-    def __init__(self, subject: str, nodes: Iterable[MapNode]) -> None:
-        nodes = tuple(nodes)
+    def __init__(self, subject: str, nodes: Iterable) -> None:
+        nodes = tuple(starmap(MapNode, nodes))
         ids, parents, phrases = (tuple(map(attrgetter(field), nodes)) for field in MapNode._fields)
         fault = _node_fault(ids, parents, phrases)
         if fault is not None:
@@ -114,10 +115,8 @@ class ConceptMap(Frozen):
         # {A->B, B->A} is better reported as the cycle it actually contains.
         if cycle is not None:
             raise CycleError("cycle among nodes: " + " -> ".join(cycle))
-        root_count = parents.count(None)
-        if not root_count:
-            raise RootCountError("map has no root node")
-        if root_count > 1:
+        # Non-empty, unique ids, known parents and no cycle: there is a root.
+        if parents.count(None) > 1:
             roots = [nid for nid, parent in zip(ids, parents) if parent is None]
             raise RootCountError(f"multiple root nodes: {roots}")
         del depth[None]
@@ -260,7 +259,7 @@ def validate_map(nodes: Iterable | ConceptMap, subject: str | None = None) -> Co
     with a `subject` other than its own raises ValueError.
     """
     if not isinstance(nodes, ConceptMap):
-        return ConceptMap("untitled" if subject is None else subject, starmap(MapNode, nodes))
+        return ConceptMap("untitled" if subject is None else subject, nodes)
     if subject is not None and subject != nodes.subject:
         raise ValueError(f"subject {subject!r} given for a map of subject {nodes.subject!r}")
     if "depth" not in vars(nodes):

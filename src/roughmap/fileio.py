@@ -11,13 +11,14 @@ text, also a map given to `parse_concept_map` as bytes; one leading byte
 order mark is skipped.  Exit statuses: 0 success, 1 validation/analysis
 error, 2 I/O or parse error; a fault prints one ``error:`` line on stderr.
 
-`analyze` is a `batch` of one, run by `_graded` (after `batch` reads its
-roster): it checks the knobs, refuses (exit 2) an output that is an input
+`_read` is the one way an input file is read: it must be a regular file.
+`analyze` is a `batch` of one.  Both check the knobs before they read
+anything; `_graded` then refuses (exit 2) an output that is an input
 (``<who> would overwrite input <path>``), a report named cohort_summary.csv
 (``<who> would overwrite cohort_summary.csv``) or, in ``--out-dir``, a
-symlink, where ``<who>`` is ``--out X``, ``<roster>: register_no 'R'`` or
-``<roster>: cohort_summary.csv``, then reads the teacher map, makes
-``--out-dir`` and grades each student.  A map must be a regular file.
+symlink or a hard link, where ``<who>`` is ``--out X``,
+``<roster>: register_no 'R'`` or ``<roster>: cohort_summary.csv``, then
+reads the teacher map, makes ``--out-dir`` and grades each student.
 
 A run (`run_analyze`, `run_batch` or `run_validate`) pauses the cyclic
 garbage collector and restores its prior state on every exit: the pipeline
@@ -31,12 +32,15 @@ import csv
 import gc
 import io
 import json
+import os
 import re
 import sys
+from contextlib import suppress
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from stat import S_ISREG
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from .analysis import DEEPEST_ONLY, AnalysisResult, _check_levels, analyze
 from .conceptmap import ConceptMap, _node_fault, integrate, validate_map
@@ -142,14 +146,20 @@ def parse_concept_map(text: str | bytes, source: str = "<string>") -> ConceptMap
         raise type(exc)(f"{source}: {exc}") from exc
 
 
+def _read(path: str | Path) -> bytes:
+    if not Path(path).is_file():  # a FIFO's or a device's read could block or never end
+        raise OSError(f"{path}: missing or not a regular file")
+    return Path(path).read_bytes()
+
+
 def parse_concept_map_file(path: str | Path) -> ConceptMap:
-    return parse_concept_map(Path(path).read_bytes(), source=str(path))
+    return parse_concept_map(_read(path), source=str(path))
 
 
 def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
     """Read a roster CSV; rows keep file order, register numbers must be unique."""
     path = Path(path)
-    text = _utf8(path.read_bytes(), str(path), RosterSchemaError)
+    text = _utf8(_read(path), str(path), RosterSchemaError)
     reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
         if reader.fieldnames is None:
@@ -187,13 +197,15 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
 def _exit_status(run: Callable[[], object]) -> int:
     """Call `run` with the cyclic collector paused and return the process
     exit status: the one place a fault becomes exit 1 (a ValidationError)
-    or 2 (an InputError or OSError), with a one-line diagnostic on stderr."""
+    or 2 (an InputError or OSError), with a one-line diagnostic on stderr.
+    A stderr that is closed or fails gets no line, and the status stands."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         run()
     except (ValidationError, InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with suppress(OSError):  # with no stderr to tell it, the status still does
+            _put(sys.stderr, "stderr", f"error: {exc}\n")
         return 1 if isinstance(exc, ValidationError) else 2
     finally:
         if collecting:
@@ -205,52 +217,63 @@ def _write(path: Path | None, text: str) -> None:
     """Write `text` to the file `path`, or to stdout when it is None."""
     if path is not None:
         path.write_text(text, encoding="utf-8")
-    elif sys.stdout is None:  # the process was started with stdout closed
-        raise InputError("stdout is closed")
     else:
-        sys.stdout.write(text)
+        _put(sys.stdout, "stdout", text)
 
 
-def _read_map(path: str | Path) -> ConceptMap:
-    if not Path(path).is_file():  # reading a FIFO or device could block
-        raise InputError(f"{path}: missing or not a regular file")
-    return parse_concept_map_file(path)
-
-
-def _identity(path: Path) -> tuple[int, int] | None:
+def _put(stream: TextIO | None, name: str, text: str) -> None:
+    """Write `text` to a standard stream now.  One that fails is closed, or
+    the interpreter's flush at exit would fail again and exit 120."""
+    if stream is None:  # the process was started with it closed
+        raise OSError(f"{name} is closed")
     try:
-        return path.stat()[1:3]  # (st_ino, st_dev) of the file, through any link
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        with suppress(OSError):
+            stream.close()
+        raise
+
+
+def _stat(path: Path) -> os.stat_result | None:
+    try:
+        return path.stat()  # of the file, through any symlink
     except OSError:  # no such file, so nothing to overwrite or to read
         return None
+
+
+def _check_knobs(report_format: str, order: str, levels: str) -> None:  # before any read
+    _check_levels(levels)
+    _check_order(order)
+    _check_report_format(report_format)
 
 
 def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tuple[str, Path]],
             jobs: Sequence[tuple[str, Path, Path | None]], out_dir: Path | None, report_format: str,
             order: str, levels: str) -> Iterator[tuple[AnalysisResult, tuple[GradedRecord, ...]]]:
-    """The loop of the module docstring.  A job is (fault prefix, student map,
-    report path or None for stdout); `inputs` are the files read besides maps."""
-    _check_levels(levels)
-    _check_order(order)
-    _check_report_format(report_format)
+    """The loop of the module docstring, after the knobs.  A job is (fault prefix, student
+    map, report path or None for stdout); `inputs` are the files read besides maps."""
     read = (Path(teacher_map_path), *inputs, *(job[1] for job in jobs))
-    by_identity = {_identity(path): path for path in reversed(read)}  # the first one wins
-    by_identity.pop(None, None)
+    # (st_ino, st_dev) -> the input; the first one wins
+    by_identity = {st[1:3]: path for path in reversed(read) if (st := _stat(path))}
     written: set[Path] = set()
     for who, path in outputs:
-        replaced = by_identity.get(_identity(path))
-        if replaced is not None:
-            raise InputError(f"{who} would overwrite input {replaced}")
+        st = _stat(path)
+        if st and st[1:3] in by_identity:
+            raise InputError(f"{who} would overwrite input {by_identity[st[1:3]]}")
         if path in written:
             raise InputError(f"{who} would overwrite {path.name}")
         if out_dir is not None and path.is_symlink():
             raise InputError(f"{who} would write through symlink {path}")
+        if out_dir is not None and st and S_ISREG(st.st_mode) and st.st_nlink > 1:
+            raise InputError(f"{who} would write through hard link {path}")
         written.add(path)
-    teacher = _read_map(teacher_map_path)
+    teacher = parse_concept_map_file(teacher_map_path)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     for fault, map_path, report_path in jobs:
         try:
-            result = analyze(integrate(teacher, _read_map(map_path)), levels=levels)
+            result = analyze(integrate(teacher, parse_concept_map_file(map_path)), levels=levels)
             graded = grade_records(result.records)
             plan = remediation_sequence(result.records, order=order)
             report = render_report(result, graded, plan, report_format)
@@ -268,8 +291,12 @@ def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | No
     out = None if out_path is None else Path(out_path)
     outputs = [] if out is None else [(f"--out {out}", out)]
     job = ("", Path(student_map_path), out)
-    return _exit_status(lambda: list(_graded(
-        teacher_map_path, (), outputs, [job], None, report_format, order, levels)))
+
+    def run() -> None:
+        _check_knobs(report_format, order, levels)
+        list(_graded(teacher_map_path, (), outputs, [job], None, report_format, order, levels))
+
+    return _exit_status(run)
 
 
 def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = None,
@@ -279,6 +306,7 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
     is ``<out_dir>/<register_no>.<format>``, followed by a cohort summary;
     a relative map path is resolved against `maps_dir`."""
     def run() -> None:
+        _check_knobs(report_format, order, levels)
         roster = parse_roster(roster_path)
         out = Path(out_dir)
         outputs, jobs = [(f"{roster_path}: {SUMMARY_FILENAME}", out / SUMMARY_FILENAME)], []

@@ -89,10 +89,7 @@ def assign_grade(actual_percent: int) -> str:
     """Letter grade for an integer percentage in 0..100."""
     if not 0 <= actual_percent <= 100:
         raise PercentRangeError(f"percent out of range 0..100: {actual_percent}")
-    for band in GRADE_BANDS:
-        if actual_percent >= band.lower_bound_percent:
-            return band.grade
-    raise AssertionError("grade bands must cover 0..100")
+    return next(band.grade for band in GRADE_BANDS if actual_percent >= band.lower_bound_percent)
 
 
 # Columns of records, graded rows, plan steps and regions, read in C.

@@ -56,6 +56,20 @@ def other_subject_map(tmp_path):
 SUBJECTS_DIFFER = "subjects differ: teacher 'Data Structures', student 'Computer Networks'"
 
 
+def run_cli(argv, closed=(), **kwargs):
+    """Run the CLI in a subprocess with the file descriptors in `closed`
+    closed, and with a timeout, so that a command that blocks fails the test
+    instead of hanging it.  Its standard streams are buffered, as they are
+    by default when they are not a terminal."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "roughmap", *argv]
+    if closed:
+        command = ["sh", "-c", 'exec "$@" ' + " ".join(f"{fd}>&-" for fd in closed), "sh",
+                   *command]
+    return subprocess.run(command, env=env, timeout=60, **kwargs)
+
+
 class TestAnalyzeCommand:
     def test_report_to_stdout(self, capsys):
         assert main(["analyze", "--teacher", TEACHER, "--student", STUDENT]) == 0
@@ -175,6 +189,93 @@ def test_closed_stdout_exits_2(monkeypatch, capsys, argv):
     assert capsys.readouterr().err == "error: stdout is closed\n"
 
 
+def swap(argv, old, new):
+    return [new if arg == old else arg for arg in argv]
+
+
+ANALYZE = ["analyze", "--teacher", "{teacher}", "--student", "{student}"]
+BATCH = ["batch", "--teacher", "{teacher}", "--roster", "{roster}", "--out-dir", "{out}"]
+VALIDATE = ["validate", "{teacher}"]
+# id -> (argv, stdout, stderr, link planted as {out}/<name> to {victim}, exit
+# status).  The argv names the files test_fault_matrix makes.  A stream is
+# "pipe" (read by the test), "closed", "full" (/dev/full), "broken" (a pipe
+# whose reader is gone) or "read-only" (open for reading, so a write fails).
+FAULT_MATRIX = {
+    "no-fault": (BATCH, "pipe", "pipe", None, 0),
+    "stdout-closed": (ANALYZE, "closed", "pipe", None, 2),
+    "stderr-closed": (swap(VALIDATE, "{teacher}", "{absent}"), "pipe", "closed", None, 2),
+    "both-closed": (ANALYZE, "closed", "closed", None, 2),
+    "stderr-fails": (swap(VALIDATE, "{teacher}", "{absent}"), "pipe", "read-only", None, 2),
+    "stdout-full": (ANALYZE, "full", "pipe", None, 2),
+    "validate-stdout-full": (VALIDATE, "full", "pipe", None, 2),
+    "out-full": ([*ANALYZE, "--out", "/dev/full"], "pipe", "pipe", None, 2),
+    "stdout-pipe-closed": (ANALYZE, "broken", "pipe", None, 2),
+    "report-symlink": (BATCH, "pipe", "pipe", ("CSE001.text", "symlink"), 2),
+    "report-hardlink": (BATCH, "pipe", "pipe", ("CSE001.text", "hardlink"), 2),
+    "summary-symlink": (BATCH, "pipe", "pipe", ("cohort_summary.csv", "symlink"), 2),
+    "summary-hardlink": (BATCH, "pipe", "pipe", ("cohort_summary.csv", "hardlink"), 2),
+    "out-dir-is-a-file": (swap(BATCH, "{out}", "{victim}"), "pipe", "pipe", None, 2),
+    "out-dir-under-a-file": (swap(BATCH, "{out}", "{victim}/out"), "pipe", "pipe", None, 2),
+    "teacher-fifo": (swap(ANALYZE, "{teacher}", "{fifo}"), "pipe", "pipe", None, 2),
+    "student-fifo": (swap(BATCH, "{roster}", "{roster_fifo}"), "pipe", "pipe", None, 2),
+    "roster-fifo": (swap(BATCH, "{roster}", "{fifo}"), "pipe", "pipe", None, 2),
+    "validate-fifo": (swap(VALIDATE, "{teacher}", "{fifo}"), "pipe", "pipe", None, 2),
+    "teacher-absent": (swap(ANALYZE, "{teacher}", "{absent}"), "pipe", "pipe", None, 2),
+    "student-absent": (swap(BATCH, "{roster}", "{roster_absent}"), "pipe", "pipe", None, 2),
+    "roster-absent": (swap(BATCH, "{roster}", "{absent}"), "pipe", "pipe", None, 2),
+    "validate-absent": (swap(VALIDATE, "{teacher}", "{absent}"), "pipe", "pipe", None, 2),
+}
+
+
+@pytest.mark.parametrize("case", FAULT_MATRIX)
+def test_fault_matrix(tmp_path, case):
+    """Each fault ends in its exit status with, on a stderr that can take it,
+    one ``error:`` line and no traceback; nothing reaches stdout, and every
+    file outside --out-dir keeps its bytes."""
+    argv, stdout, stderr, planted, status = FAULT_MATRIX[case]
+    paths = {"teacher": tmp_path / "teacher.json", "student": tmp_path / "student.json",
+             "victim": tmp_path / "victim.txt", "fifo": tmp_path / "fifo",
+             "absent": tmp_path / "absent.json", "out": tmp_path / "out"}
+    paths["teacher"].write_bytes((DATA_DIR / "teacher_map.json").read_bytes())
+    paths["student"].write_bytes((DATA_DIR / "student_map.json").read_bytes())
+    paths["victim"].write_bytes(b"victim\n")
+    os.mkfifo(paths["fifo"])
+    for suffix, student in (("", "student"), ("_fifo", "fifo"), ("_absent", "absent")):
+        paths[f"roster{suffix}"] = tmp_path / f"roster{suffix}.csv"
+        write_roster(paths[f"roster{suffix}"], [("CSE001", "a", "d", "s", "sub", paths[student])])
+    if planted is not None:
+        paths["out"].mkdir()
+        make_link(paths["out"] / planted[0], paths["victim"], planted[1])
+
+    def outside_out_dir():
+        return {path: data for path, data in file_bytes(tmp_path).items()
+                if paths["out"] not in path.parents}
+
+    before = outside_out_dir()
+    with contextlib.ExitStack() as stack:
+        streams = {"pipe": subprocess.PIPE, "closed": None,
+                   "full": stack.enter_context(open("/dev/full", "wb")),
+                   "read-only": stack.enter_context(open(os.devnull, "rb"))}
+        if "broken" in (stdout, stderr):
+            reader, writer = os.pipe()
+            os.close(reader)
+            stack.callback(os.close, writer)
+            streams["broken"] = writer
+        closed = [fd for fd, stream in ((1, stdout), (2, stderr)) if stream == "closed"]
+        proc = run_cli([arg.format(**paths) for arg in argv], closed=closed,
+                       stdout=streams[stdout], stderr=streams[stderr])
+    assert proc.returncode == status
+    if stdout == "pipe":
+        assert proc.stdout == b""
+    if stderr == "pipe":
+        assert b"Traceback" not in proc.stderr
+        if status:
+            assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        else:
+            assert proc.stderr == b""
+    assert outside_out_dir() == before
+
+
 class TestHostileMapFiles:
     """Malformed map files end in exit 2, invalid ones in exit 1, with one
     diagnostic line that names the file once."""
@@ -244,23 +345,23 @@ class TestHostileMapFiles:
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("command, role", [
-        ("analyze", "teacher"), ("analyze", "student"), ("batch", "teacher"), ("batch", "student")])
+        ("analyze", "teacher"), ("analyze", "student"), ("batch", "teacher"), ("batch", "student"),
+        ("batch", "roster"), ("validate", "map")])
     def test_fifo_map_exits_2_without_blocking(self, tmp_path, command, role):
-        """Reading a FIFO would block, so `analyze` and `batch` read a map only
-        when it is a regular file.  The CLI runs in a subprocess with a
-        timeout, so that a regression fails instead of hanging."""
+        """Reading a FIFO would block, so every command reads an input file,
+        map or roster, only when it is a regular file."""
         fifo = tmp_path / "fifo.json"
         os.mkfifo(fifo)
-        maps = {"teacher": TEACHER, "student": STUDENT, role: str(fifo)}
-        roster = tmp_path / "roster.csv"
-        write_roster(roster, [("R1", "a", "d", "s", "sub", maps["student"])])
-        argv = (["analyze", "--teacher", maps["teacher"], "--student", maps["student"]]
-                if command == "analyze" else
-                ["batch", "--teacher", maps["teacher"], "--roster", str(roster),
-                 "--out-dir", str(tmp_path / "out")])
-        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-        proc = subprocess.run([sys.executable, "-m", "roughmap", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        paths = {"teacher": TEACHER, "student": STUDENT, "roster": str(tmp_path / "roster.csv"),
+                 role: str(fifo)}
+        if role != "roster":
+            write_roster(tmp_path / "roster.csv", [("R1", "a", "d", "s", "sub", paths["student"])])
+        argv = {
+            "analyze": ["analyze", "--teacher", paths["teacher"], "--student", paths["student"]],
+            "batch": ["batch", "--teacher", paths["teacher"], "--roster", paths["roster"],
+                      "--out-dir", str(tmp_path / "out")],
+            "validate": ["validate", str(fifo)]}[command]
+        proc = run_cli(argv, capture_output=True, text=True)
         fault = "student R1: " * (command == "batch" and role == "student")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"error: {fault}{fifo}: missing or not a regular file\n")
@@ -422,11 +523,11 @@ class TestBatchCommand:
                                            f"would overwrite input {paths[role]}\n")
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
-    @pytest.mark.parametrize("kind", ["symlink", "hardlink", "outside"])
+    @pytest.mark.parametrize("kind", ["symlink", "hardlink", "outside", "outside-hardlink"])
     @pytest.mark.parametrize("output", ["report", "summary"])
     def test_output_links_to_an_input(self, tmp_path, capsys, output, kind):
         """A report or summary that is already a link to an input, or a
-        symlink to any file, is refused before anything is written."""
+        symlink or hard link to any file, is refused before anything is written."""
         for name in ("teacher_map.json", "student_map.json"):
             (tmp_path / name).write_bytes((DATA_DIR / name).read_bytes())
         (tmp_path / "victim.txt").write_text("not an input\n", encoding="utf-8")
@@ -438,12 +539,14 @@ class TestBatchCommand:
             name, who, target = "CSE001.text", "register_no 'CSE001'", tmp_path / "student_map.json"
         else:
             name, who, target = "cohort_summary.csv", "cohort_summary.csv", roster
-        if kind == "outside":
+        if kind.startswith("outside"):
             target = tmp_path / "victim.txt"
-            expected = f"{who} would write through symlink {out_dir / name}"
+            kind, link = {"outside": ("symlink", "symlink"),
+                          "outside-hardlink": ("hardlink", "hard link")}[kind]
+            expected = f"{who} would write through {link} {out_dir / name}"
         else:
             expected = f"{who} would overwrite input {target}"
-        make_link(out_dir / name, target, "symlink" if kind == "outside" else kind)
+        make_link(out_dir / name, target, kind)
         before = file_bytes(tmp_path)
         code = main(["batch", "--teacher", str(tmp_path / "teacher_map.json"),
                      "--roster", str(roster), "--maps-dir", str(tmp_path),
@@ -453,10 +556,10 @@ class TestBatchCommand:
         assert file_bytes(tmp_path) == before
         assert list(out_dir.iterdir()) == [out_dir / name]
 
-    @pytest.mark.parametrize("command", ["batch", "analyze"])
+    @pytest.mark.parametrize("command", ["batch", "analyze", "analyze-hardlink"])
     def test_links_written_through(self, tmp_path, command):
-        """A symlinked --out-dir, and an `analyze --out` that links to a file
-        that is not an input, are written through."""
+        """A symlinked --out-dir, and an `analyze --out` that is a symlink or
+        a hard link to a file that is not an input, are written through."""
         target = tmp_path / "target"
         if command == "batch":
             target.mkdir()
@@ -466,7 +569,8 @@ class TestBatchCommand:
             written = target / "CSE001.text"
         else:
             target.write_text("old\n", encoding="utf-8")
-            (tmp_path / "out").symlink_to(target)
+            kind = "hardlink" if command == "analyze-hardlink" else "symlink"
+            make_link(tmp_path / "out", target, kind)
             argv = ["analyze", "--teacher", TEACHER, "--student", STUDENT,
                     "--out", str(tmp_path / "out")]
             written = target

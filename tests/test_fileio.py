@@ -68,7 +68,7 @@ class TestParseConceptMap:
             parse_concept_map(text)
 
     def test_missing_file_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError):
+        with pytest.raises(OSError, match="absent.json: missing or not a regular file$"):
             parse_concept_map_file(tmp_path / "absent.json")
 
 
@@ -86,13 +86,15 @@ FIELD_FAULTS = {
 def test_one_set_of_node_rules(node, message):
     """A map file and a node list break a field rule with one message: the
     file's names its source and exits 2, the node list's raises
-    MapValidationError, from `validate_map` and from `ConceptMap` alike."""
+    MapValidationError, from `validate_map` and from `ConceptMap`, given
+    plain rows or MapNode instances, alike."""
     nodes = [("S", None), node]
     text = json.dumps({"nodes": [dict(zip(MapNode._fields, row)) for row in nodes]})
     with pytest.raises(MapFileParseError) as from_file:
         parse_concept_map(text, "m.json")
     assert str(from_file.value) == f"m.json: {message}"
-    for build in (validate_map, lambda rows: ConceptMap("s", [MapNode(*row) for row in rows])):
+    for build in (validate_map, lambda rows: ConceptMap("s", rows),
+                  lambda rows: ConceptMap("s", [MapNode(*row) for row in rows])):
         with pytest.raises(MapValidationError) as from_list:
             build(nodes)
         assert (type(from_list.value), str(from_list.value)) == (MapValidationError, message)
@@ -218,22 +220,25 @@ def test_one_decode_rule(tmp_path, way_in, encoding):
             read(path)
 
 
-@pytest.mark.parametrize("knob, message, teacher_name", [
-    ({"report_format": "pdf"}, "unknown report format: 'pdf'", "teacher_map.json"),
-    ({"order": "sideways"}, "order must be 'asc' or 'desc', got 'sideways'", "teacher_map.json"),
-    ({"levels": "x"}, "levels must be 'deepest' or 'all', got 'x'", "teacher_map.json"),
-    ({"report_format": "pdf"}, "unknown report format: 'pdf'", "absent.json"),
-], ids=["report_format", "order", "levels", "missing_teacher"])
+@pytest.mark.parametrize("knob, message, absent", [
+    ({"report_format": "pdf"}, "unknown report format: 'pdf'", ()),
+    ({"order": "sideways"}, "order must be 'asc' or 'desc', got 'sideways'", ()),
+    ({"levels": "x"}, "levels must be 'deepest' or 'all', got 'x'", ()),
+    ({"report_format": "pdf"}, "unknown report format: 'pdf'", ("teacher",)),
+    ({"report_format": "pdf"}, "unknown report format: 'pdf'", ("student", "roster")),
+], ids=["report_format", "order", "levels", "missing_teacher", "missing_student_and_roster"])
 @pytest.mark.parametrize("run", ["run_analyze", "run_batch"])
-def test_bad_knob_exits_1_with_one_line(tmp_path, capsys, run, knob, message, teacher_name):
+def test_bad_knob_exits_1_with_one_line(tmp_path, capsys, run, knob, message, absent):
     """A library caller's bad knob is a validation fault, not a traceback;
-    both commands refuse it before they read a map or make the output
-    directory, and blame no student."""
-    teacher = str(DATA_DIR / teacher_name)
+    both commands refuse it before they read any file, the roster included,
+    or make the output directory, and blame no student."""
+    paths = {"teacher": DATA_DIR / "teacher_map.json", "student": DATA_DIR / "student_map.json",
+             "roster": DATA_DIR / "roster.csv"}
+    paths.update((role, tmp_path / f"absent_{role}") for role in absent)
     if run == "run_analyze":
-        code = run_analyze(teacher, str(DATA_DIR / "student_map.json"), **knob)
+        code = run_analyze(str(paths["teacher"]), str(paths["student"]), **knob)
     else:
-        code = run_batch(teacher, str(DATA_DIR / "roster.csv"), str(DATA_DIR),
+        code = run_batch(str(paths["teacher"]), str(paths["roster"]), str(DATA_DIR),
                          str(tmp_path / "out"), **knob)
     assert code == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
