@@ -11,22 +11,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from roughmap.analysis import ALL_LEVELS, DEEPEST_ONLY  # noqa: E402
-from roughmap.fileio import _graded  # noqa: E402
-from roughmap.grading import ASCENDING, DESCENDING, REPORT_FORMATS  # noqa: E402
+from roughmap import (  # noqa: E402
+    analyze, grade_records, integrate, remediation_sequence, render_report)
+from roughmap.cli import COMMANDS  # noqa: E402
+from roughmap.fileio import parse_concept_map_file  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--format", choices=REPORT_FORMATS, default="text")
-    parser.add_argument("--order", choices=(ASCENDING, DESCENDING), default=ASCENDING)
-    parser.add_argument("--levels", choices=(DEEPEST_ONLY, ALL_LEVELS), default=DEEPEST_ONLY)
+    for name, choices, default, _, flag_help in COMMANDS["analyze"][1]:
+        if choices is not None:  # the report settings: --format, --order and --levels
+            parser.add_argument(name, choices=choices, default=default, help=flag_help)
     args = parser.parse_args()
 
-    # One job with no report path: the report goes to stdout.
-    job = ("", ROOT / "data" / "student_map.json", None)
-    [(result, _)] = _graded(str(ROOT / "data" / "teacher_map.json"), (), (), [job], None,
-                            args.format, args.order, args.levels)
+    teacher = parse_concept_map_file(ROOT / "data" / "teacher_map.json")
+    student = parse_concept_map_file(ROOT / "data" / "student_map.json")
+    result = analyze(integrate(teacher, student), levels=args.levels)
+    graded = grade_records(result.records)
+    plan = remediation_sequence(result.records, order=args.order)
+    sys.stdout.write(render_report(result, graded, plan, args.format))
 
     print()
     print("exact importance degrees:")

@@ -16,7 +16,8 @@ error, 2 I/O or parse error; a fault prints one ``error:`` line on stderr.
 anything; `_graded` then refuses (exit 2) an output that is an input
 (``<who> would overwrite input <path>``), a report named cohort_summary.csv
 (``<who> would overwrite cohort_summary.csv``) or, in ``--out-dir``, a
-symlink or a hard link, where ``<who>`` is ``--out X``,
+symlink, a file that is not a regular file (a FIFO's write would block) or a
+hard link, where ``<who>`` is ``--out X``,
 ``<roster>: register_no 'R'`` or ``<roster>: cohort_summary.csv``, then
 reads the teacher map, makes ``--out-dir`` and grades each student.
 
@@ -39,7 +40,7 @@ from contextlib import suppress
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from stat import S_ISREG
+from stat import S_ISLNK, S_ISREG
 from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from .analysis import DEEPEST_ONLY, AnalysisResult, _check_levels, analyze
@@ -157,8 +158,8 @@ def parse_concept_map_file(path: str | Path) -> ConceptMap:
 
 
 def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
-    """Read a roster CSV; rows keep file order, register numbers must be unique."""
-    path = Path(path)
+    """Read a roster CSV; rows keep file order, register numbers must be unique.
+    Every error names `path` as given."""
     text = _utf8(_read(path), str(path), RosterSchemaError)
     reader = csv.DictReader(io.StringIO(text, newline=""))
     try:
@@ -229,15 +230,18 @@ def _put(stream: TextIO | None, name: str, text: str) -> None:
     try:
         stream.write(text)
         stream.flush()
+    except UnicodeEncodeError as exc:  # raised before any of `text` is written
+        bad = exc.object[exc.start:exc.end]
+        raise OSError(f"{name} cannot encode {bad!r} as {exc.encoding}") from None
     except OSError:
         with suppress(OSError):
             stream.close()
         raise
 
 
-def _stat(path: Path) -> os.stat_result | None:
+def _stat(path: Path, follow_symlinks: bool = True) -> os.stat_result | None:
     try:
-        return path.stat()  # of the file, through any symlink
+        return path.stat(follow_symlinks=follow_symlinks)
     except OSError:  # no such file, so nothing to overwrite or to read
         return None
 
@@ -263,9 +267,12 @@ def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tup
             raise InputError(f"{who} would overwrite input {by_identity[st[1:3]]}")
         if path in written:
             raise InputError(f"{who} would overwrite {path.name}")
-        if out_dir is not None and path.is_symlink():
+        entry = out_dir is not None and _stat(path, follow_symlinks=False)  # the name itself
+        if entry and S_ISLNK(entry.st_mode):
             raise InputError(f"{who} would write through symlink {path}")
-        if out_dir is not None and st and S_ISREG(st.st_mode) and st.st_nlink > 1:
+        if entry and not S_ISREG(entry.st_mode):  # a FIFO's write would block
+            raise InputError(f"{who} would write over a non-regular file {path}")
+        if entry and entry.st_nlink > 1:
             raise InputError(f"{who} would write through hard link {path}")
         written.add(path)
     teacher = parse_concept_map_file(teacher_map_path)

@@ -13,7 +13,9 @@ The JSON report has a fixed layout: 2-space indent, keys in the fixed order
 regions, records, total, expected_result, expected_result_display, graded,
 plan (order, steps), and non-ASCII characters escaped as ``\\uXXXX``.  Its
 bytes are those of ``json.dumps(doc, indent=2) + "\\n"`` for the same
-document, though it is written from per-object templates.
+document.  Two helpers write that layout: `_json_array` joins encoded items,
+and `_json_object` builds each object kind's ``%``-template once, at import;
+every value, string or int, fills its slot already encoded.
 """
 
 from __future__ import annotations
@@ -229,48 +231,6 @@ def _render_csv(result, graded, plan) -> str:
     return buf.getvalue()
 
 
-# One template per object kind.  Strings go through the encoder json.dumps
-# itself uses, ints through str; degrees are digits, "/" and "." only.
-_JSON_REPORT = """{
-  "regions": %s,
-  "records": %s,
-  "total": "%s",
-  "expected_result": "%s",
-  "expected_result_display": "%s",
-  "graded": %s,
-  "plan": {
-    "order": %s,
-    "steps": %s
-  }
-}
-"""
-_JSON_REGION = """{
-      "level": %s,
-      "pos": %s,
-      "neg": %s,
-      "bnd": %s
-    }"""
-_JSON_RECORD = """{
-      "node": %s,
-      "level": %s,
-      "child_count": %s,
-      "overlap": %s,
-      "alpha": "%s",
-      "alpha_display": "%s"
-    }"""
-_JSON_GRADED = """{
-      "node": %s,
-      "expected_percent": %s,
-      "actual_percent": %s,
-      "grade": %s
-    }"""
-_JSON_STEP = """{
-        "node": %s,
-        "alpha": "%s",
-        "alpha_display": "%s"
-      }"""
-
-
 def _json_array(items: Iterable[str], indent: str) -> str:
     """Already-encoded `items`, none of them empty, as an ``indent=2`` array
     whose items sit at `indent`."""
@@ -278,41 +238,46 @@ def _json_array(items: Iterable[str], indent: str) -> str:
     return f"[\n{indent}{joined}\n{indent[2:]}]" if joined else "[]"
 
 
-_IDS_SEP, _EMPTY_IDS = ",\n        ", {0: "[]"}
-_IDS_ARRAY = "[\n        %s\n      ]".__mod__
+def _json_object(keys: Iterable[str], indent: str) -> str:
+    """A ``%``-template of an ``indent=2`` object whose `keys` sit at
+    `indent`, with one ``%s`` slot for each already-encoded value."""
+    slots = _json_array([f"{_encode(key)}: %s" for key in keys], indent)
+    return "{" + slots[1:-1] + "}"  # the array's brackets become braces
 
 
-def _json_id_arrays(columns: Iterable[Sequence[str]]) -> Iterable[str]:
-    """`_json_array` of each id tuple of a region column, built by C-level
-    passes over the whole column; empty tuples are told apart by length."""
-    columns = list(columns)
-    arrays = map(_IDS_ARRAY, map(_IDS_SEP.join, map(map, repeat(_encode), columns)))
-    return map(_EMPTY_IDS.get, map(len, columns), arrays)
+_REGION = _json_object(("level", "pos", "neg", "bnd"), " " * 6)
+_RECORD = _json_object(("node", "level", "child_count", "overlap", "alpha", "alpha_display"),
+                       " " * 6)
+_GRADED = _json_object(("node", "expected_percent", "actual_percent", "grade"), " " * 6)
+_STEP = _json_object(("node", "alpha", "alpha_display"), " " * 8)
+_PLAN = _json_object(("order", "steps"), " " * 4)
+_REPORT = _json_object(("regions", "records", "total", "expected_result",
+                        "expected_result_display", "graded", "plan"), " " * 2) + "\n"
 
 
 def _render_json(result, graded, plan) -> str:
     regions, records, steps = result.regions, result.records, plan.steps
-    exact, step_exact, display, step_display = _degrees(result, plan, str, _display)
-    region_items = map(_JSON_REGION.__mod__, zip(
-        map(_level, regions), _json_id_arrays(map(_pos, regions)),
-        _json_id_arrays(map(_neg, regions)), _json_id_arrays(map(_bnd, regions))))
-    record_items = map(_JSON_RECORD.__mod__, zip(
+    exact, step_exact, display, step_display = _degrees(
+        result, plan, lambda alpha: _encode(str(alpha)), lambda alpha: _encode(_display(alpha)))
+    id_arrays = ([_json_array(map(_encode, ids), " " * 8) for ids in map(column, regions)]
+                 for column in (_pos, _neg, _bnd))
+    region_items = map(_REGION.__mod__, zip(map(_level, regions), *id_arrays))
+    record_items = map(_RECORD.__mod__, zip(
         map(_encode, map(_node, records)), map(_level, records), map(_child_count, records),
         map(_overlap, records), exact, display))
-    graded_items = map(_JSON_GRADED.__mod__, zip(
+    graded_items = map(_GRADED.__mod__, zip(
         map(_encode, map(_node, graded)), map(_expected, graded), map(_actual, graded),
         map(_encode, map(_grade, graded))))
-    step_items = map(_JSON_STEP.__mod__, zip(
-        map(_encode, map(_node, steps)), step_exact, step_display))
-    return _JSON_REPORT % (
+    step_items = map(_STEP.__mod__, zip(map(_encode, map(_node, steps)), step_exact, step_display))
+    expected = result.expected_result
+    return _REPORT % (
         _json_array(region_items, " " * 4),
         _json_array(record_items, " " * 4),
-        result.total,
-        result.expected_result,
-        format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
+        _encode(str(result.total)),
+        _encode(str(expected)),
+        _encode(format_fraction(expected, EXPECTED_RESULT_PLACES)),
         _json_array(graded_items, " " * 4),
-        _encode(plan.order),
-        _json_array(step_items, " " * 6),
+        _PLAN % (_encode(plan.order), _json_array(step_items, " " * 6)),
     )
 
 

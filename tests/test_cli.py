@@ -34,6 +34,16 @@ def make_link(link, target, kind):
         os.link(target, link)
 
 
+def plant(path, target, kind):
+    """Make `path` a FIFO, a directory, or a symlink or hard link to `target`."""
+    if kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        make_link(path, target, kind)
+
+
 def file_bytes(root):
     return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -56,12 +66,12 @@ def other_subject_map(tmp_path):
 SUBJECTS_DIFFER = "subjects differ: teacher 'Data Structures', student 'Computer Networks'"
 
 
-def run_cli(argv, closed=(), **kwargs):
+def run_cli(argv, closed=(), env_extra=(), **kwargs):
     """Run the CLI in a subprocess with the file descriptors in `closed`
-    closed, and with a timeout, so that a command that blocks fails the test
-    instead of hanging it.  Its standard streams are buffered, as they are
-    by default when they are not a terminal."""
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    closed, the variables `env_extra` set, and with a timeout, so that a
+    command that blocks fails the test instead of hanging it.  Its standard
+    streams are buffered, as they are by default when they are not a terminal."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), **dict(env_extra)}
     env.pop("PYTHONUNBUFFERED", None)
     command = [sys.executable, "-m", "roughmap", *argv]
     if closed:
@@ -196,10 +206,11 @@ def swap(argv, old, new):
 ANALYZE = ["analyze", "--teacher", "{teacher}", "--student", "{student}"]
 BATCH = ["batch", "--teacher", "{teacher}", "--roster", "{roster}", "--out-dir", "{out}"]
 VALIDATE = ["validate", "{teacher}"]
-# id -> (argv, stdout, stderr, link planted as {out}/<name> to {victim}, exit
-# status).  The argv names the files test_fault_matrix makes.  A stream is
-# "pipe" (read by the test), "closed", "full" (/dev/full), "broken" (a pipe
-# whose reader is gone) or "read-only" (open for reading, so a write fails).
+# id -> (argv, stdout, stderr, (name, kind) of what `plant` makes at
+# {out}/<name>: a link to {victim}, a FIFO or a directory, exit status).  The
+# argv names the files test_fault_matrix makes.  A stream is "pipe" (read by
+# the test), "closed", "full" (/dev/full), "broken" (a pipe whose reader is
+# gone) or "read-only" (open for reading, so a write fails).
 FAULT_MATRIX = {
     "no-fault": (BATCH, "pipe", "pipe", None, 0),
     "stdout-closed": (ANALYZE, "closed", "pipe", None, 2),
@@ -214,6 +225,9 @@ FAULT_MATRIX = {
     "report-hardlink": (BATCH, "pipe", "pipe", ("CSE001.text", "hardlink"), 2),
     "summary-symlink": (BATCH, "pipe", "pipe", ("cohort_summary.csv", "symlink"), 2),
     "summary-hardlink": (BATCH, "pipe", "pipe", ("cohort_summary.csv", "hardlink"), 2),
+    "report-fifo": (BATCH, "pipe", "pipe", ("CSE001.text", "fifo"), 2),
+    "report-directory": (BATCH, "pipe", "pipe", ("CSE001.text", "directory"), 2),
+    "summary-directory": (BATCH, "pipe", "pipe", ("cohort_summary.csv", "directory"), 2),
     "out-dir-is-a-file": (swap(BATCH, "{out}", "{victim}"), "pipe", "pipe", None, 2),
     "out-dir-under-a-file": (swap(BATCH, "{out}", "{victim}/out"), "pipe", "pipe", None, 2),
     "teacher-fifo": (swap(ANALYZE, "{teacher}", "{fifo}"), "pipe", "pipe", None, 2),
@@ -245,7 +259,7 @@ def test_fault_matrix(tmp_path, case):
         write_roster(paths[f"roster{suffix}"], [("CSE001", "a", "d", "s", "sub", paths[student])])
     if planted is not None:
         paths["out"].mkdir()
-        make_link(paths["out"] / planted[0], paths["victim"], planted[1])
+        plant(paths["out"] / planted[0], paths["victim"], planted[1])
 
     def outside_out_dir():
         return {path: data for path, data in file_bytes(tmp_path).items()
@@ -274,6 +288,22 @@ def test_fault_matrix(tmp_path, case):
         else:
             assert proc.stderr == b""
     assert outside_out_dir() == before
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_stdout_that_cannot_encode_exits_2(tmp_path, command):
+    """A stdout whose encoding cannot hold the text (here a node id and a
+    file name with a non-ASCII letter) takes nothing: exit 2, one line."""
+    doc = {"subject": "x", "nodes": [{"id": "S", "parent": None}, {"id": "\u00dc1", "parent": "S"},
+                                     {"id": "C", "parent": "\u00dc1"}]}
+    path = tmp_path / "\u00dc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {"analyze": ["analyze", "--teacher", str(path), "--student", str(path)],
+            "validate": ["validate", str(path)]}[command]
+    proc = run_cli(argv, capture_output=True, env_extra={"PYTHONIOENCODING": "ascii"})
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: stdout cannot encode '\\xdc' as ascii\n"
 
 
 class TestHostileMapFiles:
@@ -625,6 +655,32 @@ class TestBatchCommand:
         err = capsys.readouterr().err
         assert err == f"error: {roster}: {detail}\n"
         assert not out_dir.exists()
+
+    def test_roster_named_as_given(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.csv").write_text("a,b\n", encoding="utf-8")
+        code = main(["batch", "--teacher", TEACHER, "--roster", "./bad.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: ./bad.csv: missing column(s): register_no, "
+                                           "name, department, semester, subject, map_path\n")
+
+    def test_directory_at_second_report(self, tmp_path, capsys):
+        """A directory at the second report is refused before the first
+        report is written.  (A FIFO, whose write would block this process,
+        is a case of test_fault_matrix.)"""
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("CSE001", "a", "d", "s", "sub", "student_map.json"),
+                              ("CSE002", "b", "d", "s", "sub", "student_map.json")])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "CSE002.text").mkdir()
+        code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                     "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {roster}: register_no 'CSE002' would write over a non-regular file "
+            f"{out_dir / 'CSE002.text'}\n")
+        assert list(out_dir.iterdir()) == [out_dir / "CSE002.text"]
 
     def test_json_format_files(self, tmp_path):
         roster = tmp_path / "roster.csv"
