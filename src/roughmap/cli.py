@@ -82,6 +82,3 @@ def main(argv: list[str] | None = None) -> int:
         return run_analyze(args["teacher"], args["student"], args["out"], *knobs)
     return run_batch(args["teacher"], args["roster"], args["maps_dir"], args["out_dir"], *knobs)
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

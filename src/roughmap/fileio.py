@@ -6,10 +6,11 @@ Concept maps are JSON documents::
                                  {"id": "U1", "parent": "S1", "phrase": "includes"}]}
 
 Rosters are CSV with header
-``register_no,name,department,semester,subject,map_path``.  Both are UTF-8
-text, also a map given to `parse_concept_map` as bytes; one leading byte
-order mark is skipped.  Exit statuses: 0 success, 1 validation/analysis
-error, 2 I/O or parse error; a fault prints one ``error:`` line on stderr.
+``register_no,name,department,semester,subject,map_path``; a row with fewer
+or more cells than the header is refused.  Both are UTF-8 text, also a map
+given to `parse_concept_map` as bytes; one leading byte order mark is
+skipped.  Exit statuses: 0 success, 1 validation/analysis error, 2 I/O or
+parse error; a fault prints one ``error:`` line on stderr.
 
 `_read` is the one way an input file is read: it must be a regular file.
 `analyze` is a `batch` of one.  Both check the knobs before they read
@@ -17,9 +18,10 @@ anything; `_graded` then refuses (exit 2) an output that is an input
 (``<who> would overwrite input <path>``), a report named cohort_summary.csv
 (``<who> would overwrite cohort_summary.csv``) or, in ``--out-dir``, a
 symlink, a file that is not a regular file (a FIFO's write would block) or a
-hard link, where ``<who>`` is ``--out X``,
-``<roster>: register_no 'R'`` or ``<roster>: cohort_summary.csv``, then
-reads the teacher map, makes ``--out-dir`` and grades each student.
+hard link, where ``<who>`` is ``--out X``, ``<roster>: register_no 'R'`` or
+``<roster>: cohort_summary.csv``, then reads the teacher map, makes
+``--out-dir`` and grades each student.  A failed write still exits 2 with
+``<who> could not be written: <reason>``.
 
 A run (`run_analyze`, `run_batch` or `run_validate`) pauses the cyclic
 garbage collector and restores its prior state on every exit: the pipeline
@@ -179,6 +181,8 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
             short = [c for c in ROSTER_COLUMNS if row[c] is None]
             if short:
                 raise RosterSchemaError(f"{path}: line {lineno}: missing cell(s): {', '.join(short)}")
+            if None in row:  # csv.DictReader files the cells past the header under None
+                raise RosterSchemaError(f"{path}: line {lineno}: {len(row[None])} cell(s) past the header")
             register_no = (row["register_no"] or "").strip()
             if not register_no:
                 raise RosterSchemaError(f"{path}: line {lineno}: empty register_no")
@@ -214,12 +218,14 @@ def _exit_status(run: Callable[[], object]) -> int:
     return 0
 
 
-def _write(path: Path | None, text: str) -> None:
-    """Write `text` to the file `path`, or to stdout when it is None."""
-    if path is not None:
-        path.write_text(text, encoding="utf-8")
-    else:
-        _put(sys.stdout, "stdout", text)
+def _write(output: tuple[str, Path] | None, text: str) -> None:
+    """Write `text` to the path of the output `(who, path)`, or to stdout when it is None."""
+    if output is None:
+        return _put(sys.stdout, "stdout", text)
+    try:
+        output[1].write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"{output[0]} could not be written: {exc.strerror or exc}") from None
 
 
 def _put(stream: TextIO | None, name: str, text: str) -> None:
@@ -253,10 +259,11 @@ def _check_knobs(report_format: str, order: str, levels: str) -> None:  # before
 
 
 def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tuple[str, Path]],
-            jobs: Sequence[tuple[str, Path, Path | None]], out_dir: Path | None, report_format: str,
-            order: str, levels: str) -> Iterator[tuple[AnalysisResult, tuple[GradedRecord, ...]]]:
+            jobs: Sequence[tuple[str, Path, tuple[str, Path] | None]], out_dir: Path | None,
+            report_format: str, order: str,
+            levels: str) -> Iterator[tuple[AnalysisResult, tuple[GradedRecord, ...]]]:
     """The loop of the module docstring, after the knobs.  A job is (fault prefix, student
-    map, report path or None for stdout); `inputs` are the files read besides maps."""
+    map, one of `outputs` or None for stdout); `inputs` are the files read besides maps."""
     read = (Path(teacher_map_path), *inputs, *(job[1] for job in jobs))
     # (st_ino, st_dev) -> the input; the first one wins
     by_identity = {st[1:3]: path for path in reversed(read) if (st := _stat(path))}
@@ -278,7 +285,7 @@ def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tup
     teacher = parse_concept_map_file(teacher_map_path)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for fault, map_path, report_path in jobs:
+    for fault, map_path, output in jobs:
         try:
             result = analyze(integrate(teacher, parse_concept_map_file(map_path)), levels=levels)
             graded = grade_records(result.records)
@@ -286,7 +293,7 @@ def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tup
             report = render_report(result, graded, plan, report_format)
         except (ValidationError, InputError, OSError) as exc:
             raise type(exc)(f"{fault}{exc}") from exc
-        _write(report_path, report)
+        _write(output, report)
         yield result, graded
 
 
@@ -295,8 +302,8 @@ def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | No
                 levels: str = DEEPEST_ONLY) -> int:
     """Grade one student and return the exit status.  The report goes to
     `out_path`, or to stdout when it is None."""
-    out = None if out_path is None else Path(out_path)
-    outputs = [] if out is None else [(f"--out {out}", out)]
+    out = None if out_path is None else (f"--out {Path(out_path)}", Path(out_path))
+    outputs = [] if out is None else [out]
     job = ("", Path(student_map_path), out)
 
     def run() -> None:
@@ -318,8 +325,9 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
         out = Path(out_dir)
         outputs, jobs = [(f"{roster_path}: {SUMMARY_FILENAME}", out / SUMMARY_FILENAME)], []
         for rec in roster:
-            report = out / f"{rec.register_no}.{report_format}"
-            outputs.append((f"{roster_path}: register_no {rec.register_no!r}", report))
+            report = (f"{roster_path}: register_no {rec.register_no!r}",
+                      out / f"{rec.register_no}.{report_format}")
+            outputs.append(report)
             jobs.append((f"student {rec.register_no}: ", Path(maps_dir or ".", rec.map_path), report))
         results = _graded(teacher_map_path, (Path(roster_path),), outputs, jobs, out,
                           report_format, order, levels)  # first in zip, to run with no rows too
@@ -329,7 +337,7 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
         summary = io.StringIO()
         csv.writer(summary, lineterminator="\n").writerows(
             [("register_no", "expected_result", "grades"), *rows])
-        _write(out / SUMMARY_FILENAME, summary.getvalue())
+        _write(outputs[0], summary.getvalue())
 
     return _exit_status(run)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import importlib.util
 import io
 import json
@@ -24,6 +25,8 @@ from roughmap.grading import REPORT_FORMATS, parse_report
 
 TEACHER = str(DATA_DIR / "teacher_map.json")
 STUDENT = str(DATA_DIR / "student_map.json")
+ROSTER = str(DATA_DIR / "roster.csv")
+GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
 
 def make_link(link, target, kind):
@@ -147,6 +150,17 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err == f"error: --out {out} would overwrite input {paths[role]}\n"
         assert file_bytes(tmp_path) == before
 
+    @pytest.mark.parametrize("out, code", [("odir", errno.EISDIR), ("nodir/x.txt", errno.ENOENT)],
+                             ids=["directory", "no-parent"])
+    def test_out_that_cannot_be_written(self, tmp_path, capsys, out, code):
+        """A write that fails past the output guard names --out and the
+        system's reason, in one line."""
+        (tmp_path / "odir").mkdir()
+        out = tmp_path / out
+        assert main(["analyze", "--teacher", TEACHER, "--student", STUDENT, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --out {out} could not be written: {os.strerror(code)}\n")
+
     def test_missing_teacher_map_exits_2(self, tmp_path, capsys):
         out = tmp_path / "never.txt"
         code = main(["analyze", "--teacher", str(tmp_path / "absent.json"),
@@ -170,8 +184,9 @@ class TestAnalyzeCommand:
 
 class TestValidateCommand:
     def test_valid_map(self, capsys):
-        assert main(["validate", TEACHER]) == 0
-        assert "valid" in capsys.readouterr().out
+        for path in (TEACHER, STUDENT):
+            assert main(["validate", path]) == 0
+            assert capsys.readouterr() == (f"valid: {path}\n", "")
 
     def test_invalid_map(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -340,6 +355,15 @@ class TestHostileMapFiles:
         utf16.write_bytes(b"\xff\xfe" + '{"nodes": []}'.encode("utf-16-le"))
         self._exits_with_one_line(utf16, capsys, 2)
 
+    def test_utf16_without_byte_order_mark(self, tmp_path, capsys):
+        """ASCII JSON in UTF-16 with no byte order mark is UTF-8 with NULs."""
+        bad = tmp_path / "utf16le.json"
+        bad.write_bytes((DATA_DIR / "teacher_map.json").read_text(encoding="utf-8")
+                        .encode("utf-16-le"))
+        line = f"{bad}: NUL character at index 1: not UTF-8 JSON (UTF-16 or UTF-32?)\n"
+        assert self._exits_with_one_line(bad, capsys, 2) == [
+            *[f"error: {line}"] * 3, f"error: student R1: {line}"]
+
     def test_two_roots(self, tmp_path, capsys):
         bad = tmp_path / "tworoots.json"
         bad.write_text('{"subject":"x","nodes":[{"id":"A","parent":null},{"id":"B","parent":null}]}')
@@ -433,6 +457,52 @@ class TestByteOrderMark:
 
 
 class TestBatchCommand:
+    @pytest.mark.parametrize("report_format, suffix", [("text", "txt"), ("csv", "csv"),
+                                                       ("json", "json")])
+    def test_sample_matches_golden_files(self, tmp_path, capsys, report_format, suffix):
+        """`analyze` on the sample maps and `batch` on data/roster.csv write
+        the golden report, and `batch` the golden cohort summary."""
+        golden = (GOLDEN_DIR / f"sample_report.{suffix}").read_bytes()
+        assert main(["analyze", "--teacher", TEACHER, "--student", STUDENT,
+                     "--format", report_format]) == 0
+        assert capsys.readouterr() == (golden.decode("utf-8"), "")
+        out_dir = tmp_path / "out"
+        assert main(["batch", "--teacher", TEACHER, "--roster", ROSTER, "--maps-dir", str(DATA_DIR),
+                     "--out-dir", str(out_dir), "--format", report_format]) == 0
+        assert (out_dir / f"CSE001.{report_format}").read_bytes() == golden
+        assert ((out_dir / "cohort_summary.csv").read_bytes()
+                == (GOLDEN_DIR / "sample_cohort_summary.csv").read_bytes())
+
+    def test_fifo_at_report(self, tmp_path):
+        """A FIFO at a report, whose write would block, is refused at once
+        (in a subprocess, so that a write that blocks fails the test)."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        os.mkfifo(out_dir / "CSE001.text")
+        proc = run_cli(["batch", "--teacher", TEACHER, "--roster", ROSTER, "--maps-dir",
+                        str(DATA_DIR), "--out-dir", str(out_dir)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", (
+            f"error: {ROSTER}: register_no 'CSE001' would write over a non-regular file "
+            f"{out_dir / 'CSE001.text'}\n"))
+
+    @pytest.mark.parametrize("output, who", [("CSE001.text", "register_no 'CSE001'"),
+                                             ("cohort_summary.csv", "cohort_summary.csv")])
+    def test_write_fault_names_the_output(self, tmp_path, monkeypatch, capsys, output, who):
+        """A write that fails past the output guard, here on a full disk,
+        names the output and the system's reason, in one line."""
+        write_text = Path.write_text
+
+        def full(path, *args, **kwargs):
+            if path.name == output:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full)
+        assert main(["batch", "--teacher", TEACHER, "--roster", ROSTER, "--maps-dir", str(DATA_DIR),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {ROSTER}: {who} could not be written: {os.strerror(errno.ENOSPC)}\n")
+
     def test_two_identical_students(self, tmp_path):
         roster = tmp_path / "roster.csv"
         write_roster(roster, [
@@ -605,7 +675,7 @@ class TestBatchCommand:
                     "--out", str(tmp_path / "out")]
             written = target
         assert main(argv) == 0
-        golden = (REPO_ROOT / "tests" / "golden" / "sample_report.txt").read_bytes()
+        golden = (GOLDEN_DIR / "sample_report.txt").read_bytes()
         assert written.read_bytes() == golden
 
     def test_input_named_report_in_another_directory(self, tmp_path):
@@ -624,7 +694,7 @@ class TestBatchCommand:
         code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
                      "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir), "--format", "text"])
         assert code == 0
-        golden = (REPO_ROOT / "tests" / "golden" / "sample_report.txt").read_bytes()
+        golden = (GOLDEN_DIR / "sample_report.txt").read_bytes()
         assert (out_dir / "cohort_summary.text").read_bytes() == golden
         summary = (out_dir / "cohort_summary.csv").read_text(encoding="utf-8").splitlines()
         assert summary == ["register_no,expected_result,grades",
@@ -644,7 +714,11 @@ class TestBatchCommand:
         (b"register_no,name,department,semester,subject,map_path\nR1,\"a\nb\",d,s,sub,m.json\n"
          b",\"c\nd\",d,s,sub,m.json\n",
          "line 4: empty register_no"),
-    ], ids=["not-utf8", "oversize-field", "short-row", "quoted-newline", "bad-record-spans-lines"])
+        (b"register_no,name,department,semester,subject,map_path\n"
+         b"CSE001,Smith,CSE,S5,Sub,student_map.json,extra\n",
+         "line 2: 1 cell(s) past the header"),
+    ], ids=["not-utf8", "oversize-field", "short-row", "quoted-newline", "bad-record-spans-lines",
+            "long-row"])
     def test_unreadable_roster(self, tmp_path, capsys, content, detail):
         roster = tmp_path / "roster.csv"
         roster.write_bytes(content)
@@ -726,6 +800,21 @@ class TestArgparseSurface:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--teacher", TEACHER, "--student", STUDENT, "--format", "pdf"])
         assert exc.value.code == 2
+
+    def test_missing_required_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--teacher", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "roughmap analyze: error: the following arguments are required: --student\n")
+
+    @pytest.mark.parametrize("argv, usage", [(["--help"], "usage: roughmap "),
+                                             (["analyze", "--help"], "usage: roughmap analyze ")])
+    def test_help_exits_0_with_a_usage_line(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(usage)
 
 
 def argparse_values(argv):
@@ -844,7 +933,7 @@ class TestDirectReader:
         readme = shell_command_lines(REPO_ROOT / "README.md")
         ci = shell_command_lines(REPO_ROOT / ".github" / "workflows" / "ci.yml")
         accepted = [argv for argv in readme + ci if argparse_values(argv) is not None]
-        assert len(readme) == 4 and readme == accepted[:4] and len(accepted) >= 12
+        assert len(readme) == 4 and readme == accepted[:4] and len(accepted) == 4 + 2
         assert all(_read(argv) == argparse_values(argv) for argv in accepted)
 
     def test_bench_command_lines_are_read_directly(self, monkeypatch):
