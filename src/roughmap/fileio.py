@@ -18,10 +18,11 @@ anything; `_graded` then refuses (exit 2) an output that is an input
 (``<who> would overwrite input <path>``), a report named cohort_summary.csv
 (``<who> would overwrite cohort_summary.csv``) or, in ``--out-dir``, a
 symlink, a file that is not a regular file (a FIFO's write would block) or a
-hard link, where ``<who>`` is ``--out X``, ``<roster>: register_no 'R'`` or
-``<roster>: cohort_summary.csv``, then reads the teacher map, makes
-``--out-dir`` and grades each student.  A failed write still exits 2 with
-``<who> could not be written: <reason>``.
+hard link, and last any output whose stat fails but not as "no such file"
+(a long name, an ``--out-dir`` that is a file), where ``<who>`` is ``--out X``,
+``<roster>: register_no 'R'`` or ``<roster>: cohort_summary.csv``, then reads
+the teacher map, makes ``--out-dir`` and grades each student.  That last
+refusal, and a failed write, give ``<who> could not be written: <reason>``.
 
 A run (`run_analyze`, `run_batch` or `run_validate`) pauses the cyclic
 garbage collector and restores its prior state on every exit: the pipeline
@@ -225,7 +226,11 @@ def _write(output: tuple[str, Path] | None, text: str) -> None:
     try:
         output[1].write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise OSError(f"{output[0]} could not be written: {exc.strerror or exc}") from None
+        raise _unwritable(output[0], exc) from None
+
+
+def _unwritable(who: str, exc: OSError) -> OSError:
+    return OSError(f"{who} could not be written: {exc.strerror or exc}")
 
 
 def _put(stream: TextIO | None, name: str, text: str) -> None:
@@ -245,11 +250,12 @@ def _put(stream: TextIO | None, name: str, text: str) -> None:
         raise
 
 
-def _stat(path: Path, follow_symlinks: bool = True) -> os.stat_result | None:
+def _stat(path: Path, follow_symlinks: bool = True,
+          absent: type[OSError] = OSError) -> os.stat_result | OSError | None:
     try:
         return path.stat(follow_symlinks=follow_symlinks)
-    except OSError:  # no such file, so nothing to overwrite or to read
-        return None
+    except OSError as exc:  # `absent` is "no such file": nothing to overwrite or to read
+        return None if isinstance(exc, absent) else exc
 
 
 def _check_knobs(report_format: str, order: str, levels: str) -> None:  # before any read
@@ -269,8 +275,8 @@ def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tup
     by_identity = {st[1:3]: path for path in reversed(read) if (st := _stat(path))}
     written: set[Path] = set()
     for who, path in outputs:
-        st = _stat(path)
-        if st and st[1:3] in by_identity:
+        st = _stat(path, absent=FileNotFoundError)  # an error is refused after the checks
+        if isinstance(st, os.stat_result) and st[1:3] in by_identity:
             raise InputError(f"{who} would overwrite input {by_identity[st[1:3]]}")
         if path in written:
             raise InputError(f"{who} would overwrite {path.name}")
@@ -281,6 +287,8 @@ def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tup
             raise InputError(f"{who} would write over a non-regular file {path}")
         if entry and entry.st_nlink > 1:
             raise InputError(f"{who} would write through hard link {path}")
+        if isinstance(st, OSError):  # such as ENAMETOOLONG, or ENOTDIR under a file
+            raise _unwritable(who, st)
         written.add(path)
     teacher = parse_concept_map_file(teacher_map_path)
     if out_dir is not None:

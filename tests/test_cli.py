@@ -623,11 +623,12 @@ class TestBatchCommand:
                                            f"would overwrite input {paths[role]}\n")
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
-    @pytest.mark.parametrize("kind", ["symlink", "hardlink", "outside", "outside-hardlink"])
+    @pytest.mark.parametrize("kind", ["symlink", "hardlink", "outside", "outside-hardlink", "loop"])
     @pytest.mark.parametrize("output", ["report", "summary"])
     def test_output_links_to_an_input(self, tmp_path, capsys, output, kind):
         """A report or summary that is already a link to an input, or a
-        symlink or hard link to any file, is refused before anything is written."""
+        symlink or hard link to any file, is refused before anything is
+        written; a symlink to itself, whose stat fails, reads as a symlink."""
         for name in ("teacher_map.json", "student_map.json"):
             (tmp_path / name).write_bytes((DATA_DIR / name).read_bytes())
         (tmp_path / "victim.txt").write_text("not an input\n", encoding="utf-8")
@@ -639,9 +640,9 @@ class TestBatchCommand:
             name, who, target = "CSE001.text", "register_no 'CSE001'", tmp_path / "student_map.json"
         else:
             name, who, target = "cohort_summary.csv", "cohort_summary.csv", roster
-        if kind.startswith("outside"):
-            target = tmp_path / "victim.txt"
-            kind, link = {"outside": ("symlink", "symlink"),
+        if kind.startswith("outside") or kind == "loop":
+            target = out_dir / name if kind == "loop" else tmp_path / "victim.txt"
+            kind, link = {"outside": ("symlink", "symlink"), "loop": ("symlink", "symlink"),
                           "outside-hardlink": ("hardlink", "hard link")}[kind]
             expected = f"{who} would write through {link} {out_dir / name}"
         else:
@@ -755,6 +756,36 @@ class TestBatchCommand:
             f"error: {roster}: register_no 'CSE002' would write over a non-regular file "
             f"{out_dir / 'CSE002.text'}\n")
         assert list(out_dir.iterdir()) == [out_dir / "CSE002.text"]
+
+    def test_register_no_too_long_for_a_file_name(self, tmp_path, capsys):
+        """A report whose name the file system refuses is refused before
+        the first report is written."""
+        register_no = "R" * 300
+        roster = tmp_path / "roster.csv"
+        write_roster(roster, [("CSE001", "a", "d", "s", "sub", "student_map.json"),
+                              (register_no, "b", "d", "s", "sub", "student_map.json")])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                     "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {roster}: register_no {register_no!r} could "
+                                           f"not be written: {os.strerror(errno.ENAMETOOLONG)}\n")
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_dir_is_not_a_directory(self, tmp_path, capsys, under):
+        """An --out-dir that is a file, or that sits under one, is refused
+        as the summary that cannot be written, and the file is untouched."""
+        (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+        out_dir = tmp_path / "file" / "out" if under else tmp_path / "file"
+        before = file_bytes(tmp_path)
+        code = main(["batch", "--teacher", TEACHER, "--roster", ROSTER, "--maps-dir", str(DATA_DIR),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {ROSTER}: cohort_summary.csv could not be "
+                                           f"written: {os.strerror(errno.ENOTDIR)}\n")
+        assert file_bytes(tmp_path) == before
 
     def test_json_format_files(self, tmp_path):
         roster = tmp_path / "roster.csv"
