@@ -6,23 +6,27 @@ Concept maps are JSON documents::
                                  {"id": "U1", "parent": "S1", "phrase": "includes"}]}
 
 Rosters are CSV with header
-``register_no,name,department,semester,subject,map_path``; a row with fewer
-or more cells than the header is refused.  Both are UTF-8 text, also a map
-given to `parse_concept_map` as bytes; one leading byte order mark is
+``register_no,name,department,semester,subject,map_path``; a blank line is
+no record, a row with fewer or more cells than the header is refused, and a
+line number counts every physical line.  Both are UTF-8 text, read from
+bytes (`parse_concept_map` takes bytes only); one leading byte order mark is
 skipped.  Exit statuses: 0 success, 1 validation/analysis error, 2 I/O or
 parse error; a fault prints one ``error:`` line on stderr.
 
 `_read` is the one way an input file is read: it must be a regular file.
 `analyze` is a `batch` of one.  Both check the knobs before they read
-anything; `_graded` then refuses (exit 2) an output that is an input
+anything.  `_graded` then makes ``--out-dir``, so that the output guard sees
+the names in it, and refuses (exit 2) an output that is an input
 (``<who> would overwrite input <path>``), a report named cohort_summary.csv
 (``<who> would overwrite cohort_summary.csv``) or, in ``--out-dir``, a
 symlink, a file that is not a regular file (a FIFO's write would block) or a
 hard link, and last any output whose stat fails but not as "no such file"
 (a long name, an ``--out-dir`` that is a file), where ``<who>`` is ``--out X``,
 ``<roster>: register_no 'R'`` or ``<roster>: cohort_summary.csv``, then reads
-the teacher map, makes ``--out-dir`` and grades each student.  That last
-refusal, and a failed write, give ``<who> could not be written: <reason>``.
+the teacher map and grades each student.  A refusal up to there removes the
+directories it made.  That last refusal, and a failed write, give ``<who>
+could not be written: <reason>``; a write cut short once the file is open
+(a full disk) removes the partial file if it is a regular file.
 
 A run (`run_analyze`, `run_batch` or `run_validate`) pauses the cyclic
 garbage collector and restores its prior state on every exit: the pipeline
@@ -33,6 +37,7 @@ collector's passes over the run's many objects would find nothing.
 from __future__ import annotations
 
 import csv
+import errno
 import gc
 import io
 import json
@@ -40,7 +45,7 @@ import os
 import re
 import sys
 from contextlib import suppress
-from itertools import repeat
+from itertools import repeat, takewhile
 from operator import itemgetter
 from pathlib import Path
 from stat import S_ISLNK, S_ISREG
@@ -91,6 +96,8 @@ ROSTER_COLUMNS = RosterRecord._fields
 SUMMARY_FILENAME = "cohort_summary.csv"
 
 _ID, _PARENT = itemgetter("id"), itemgetter("parent")
+# Write errors raised after the file is open, which leave it partly written.
+_PARTIAL = frozenset((errno.EFBIG, errno.ENOSPC, errno.EDQUOT))
 # A path separator or a control character (Unicode category Cc).
 _UNSAFE_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]").search
 
@@ -123,10 +130,9 @@ def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
     return ids, parents, phrases
 
 
-def parse_concept_map(text: str | bytes, source: str = "<string>") -> ConceptMap:
+def parse_concept_map(data: bytes, source: str = "<string>") -> ConceptMap:
     """Parse and validate the JSON concept-map format; every error names `source`."""
-    if isinstance(text, bytes):
-        text = _utf8(text, source, MapFileParseError)
+    text = _utf8(data, source, MapFileParseError)
     nul = text.find("\0")  # JSON holds no raw NUL; ASCII in UTF-16 or UTF-32 is full of them
     if nul >= 0:
         raise MapFileParseError(
@@ -161,43 +167,45 @@ def parse_concept_map_file(path: str | Path) -> ConceptMap:
 
 
 def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
-    """Read a roster CSV; rows keep file order, register numbers must be unique.
-    Every error names `path` as given."""
-    text = _utf8(_read(path), str(path), RosterSchemaError)
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    """Read a roster CSV; rows keep file order, a blank line is no record, register
+    numbers are unique.  Every error names `path` as given, and a line number
+    counts every physical line."""
+    reader = csv.reader(io.StringIO(_utf8(_read(path), str(path), RosterSchemaError), newline=""))
+    records: dict[str, RosterRecord] = {}
     try:
-        if reader.fieldnames is None:
+        header = next(reader, None)
+        if header is None:
             raise RosterSchemaError(f"{path}: empty roster file")
-        missing = [c for c in ROSTER_COLUMNS if c not in reader.fieldnames]
+        index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
+        missing = [c for c in ROSTER_COLUMNS if c not in index]
         if missing:
-            nul = "; NUL in the header (UTF-16 or UTF-32?)" * ("\0" in "".join(reader.fieldnames))
+            nul = "; NUL in the header (UTF-16 or UTF-32?)" * ("\0" in "".join(header))
             raise RosterSchemaError(f"{path}: missing column(s): {', '.join(missing)}{nul}")
-        records: list[RosterRecord] = []
-        seen: set[str] = set()
+        columns = [index[c] for c in ROSTER_COLUMNS]
         end = reader.line_num  # where the header ends
         for row in reader:
-            # A quoted newline makes a record span lines: it starts on the
-            # line after the previous record's end.
+            # A record starts on the line after the previous one's end: a quoted newline spans lines.
             lineno, end = end + 1, reader.line_num
-            short = [c for c in ROSTER_COLUMNS if row[c] is None]
+            if not row:
+                continue
+            short = [c for c, i in zip(ROSTER_COLUMNS, columns) if i >= len(row)]
             if short:
                 raise RosterSchemaError(f"{path}: line {lineno}: missing cell(s): {', '.join(short)}")
-            if None in row:  # csv.DictReader files the cells past the header under None
-                raise RosterSchemaError(f"{path}: line {lineno}: {len(row[None])} cell(s) past the header")
-            register_no = (row["register_no"] or "").strip()
+            if len(row) > len(header):
+                raise RosterSchemaError(
+                    f"{path}: line {lineno}: {len(row) - len(header)} cell(s) past the header")
+            register_no = row[columns[0]].strip()
             if not register_no:
                 raise RosterSchemaError(f"{path}: line {lineno}: empty register_no")
             if register_no in (".", "..") or _UNSAFE_CHAR(register_no):
                 raise RosterSchemaError(
-                    f"{path}: line {lineno}: register_no {register_no!r} is not a safe file name"
-                )
-            if register_no in seen:
+                    f"{path}: line {lineno}: register_no {register_no!r} is not a safe file name")
+            if register_no in records:
                 raise DuplicateRegisterError(f"{path}: duplicate register_no {register_no!r}")
-            seen.add(register_no)
-            records.append(RosterRecord(register_no, *map(row.get, ROSTER_COLUMNS[1:])))
+            records[register_no] = RosterRecord(register_no, *map(row.__getitem__, columns[1:]))
     except csv.Error as exc:
-        raise RosterSchemaError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
-    return tuple(records)
+        raise RosterSchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return tuple(records.values())
 
 
 def _exit_status(run: Callable[[], object]) -> int:
@@ -220,12 +228,18 @@ def _exit_status(run: Callable[[], object]) -> int:
 
 
 def _write(output: tuple[str, Path] | None, text: str) -> None:
-    """Write `text` to the path of the output `(who, path)`, or to stdout when it is None."""
+    """Write `text` to the path of the output `(who, path)`, or to stdout when it is None.
+    A write that fails once the file is open, such as on a full disk, removes the partial
+    file if it is a regular file with one link, so that an output is whole or absent."""
     if output is None:
         return _put(sys.stdout, "stdout", text)
     try:
         output[1].write_text(text, encoding="utf-8")
     except OSError as exc:
+        entry = exc.errno in _PARTIAL and _stat(output[1], follow_symlinks=False)
+        if entry and S_ISREG(entry.st_mode) and entry.st_nlink == 1:  # not /dev/full, say
+            with suppress(OSError):
+                output[1].unlink()
         raise _unwritable(output[0], exc) from None
 
 
@@ -264,13 +278,19 @@ def _check_knobs(report_format: str, order: str, levels: str) -> None:  # before
     _check_report_format(report_format)
 
 
-def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tuple[str, Path]],
-            jobs: Sequence[tuple[str, Path, tuple[str, Path] | None]], out_dir: Path | None,
-            report_format: str, order: str,
-            levels: str) -> Iterator[tuple[AnalysisResult, tuple[GradedRecord, ...]]]:
-    """The loop of the module docstring, after the knobs.  A job is (fault prefix, student
-    map, one of `outputs` or None for stdout); `inputs` are the files read besides maps."""
-    read = (Path(teacher_map_path), *inputs, *(job[1] for job in jobs))
+def _make_dir(path: Path) -> list[Path]:
+    """Make the directory `path` with its missing parents and return the ones
+    made, deepest first.  An error is left to the output guard's stat."""
+    made = list(takewhile(lambda p: _stat(p, follow_symlinks=False) is None, (path, *path.parents)))
+    with suppress(OSError):
+        path.mkdir(parents=True, exist_ok=True)
+    return made
+
+
+def _check_outputs(read: Sequence[Path], outputs: Sequence[tuple[str, Path]],
+                   in_dir: bool) -> None:
+    """The output guard of the module docstring; `read` are the inputs, and
+    `in_dir` is true for the outputs of ``--out-dir``."""
     # (st_ino, st_dev) -> the input; the first one wins
     by_identity = {st[1:3]: path for path in reversed(read) if (st := _stat(path))}
     written: set[Path] = set()
@@ -280,7 +300,7 @@ def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tup
             raise InputError(f"{who} would overwrite input {by_identity[st[1:3]]}")
         if path in written:
             raise InputError(f"{who} would overwrite {path.name}")
-        entry = out_dir is not None and _stat(path, follow_symlinks=False)  # the name itself
+        entry = in_dir and _stat(path, follow_symlinks=False)  # the name itself
         if entry and S_ISLNK(entry.st_mode):
             raise InputError(f"{who} would write through symlink {path}")
         if entry and not S_ISREG(entry.st_mode):  # a FIFO's write would block
@@ -290,9 +310,24 @@ def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tup
         if isinstance(st, OSError):  # such as ENAMETOOLONG, or ENOTDIR under a file
             raise _unwritable(who, st)
         written.add(path)
-    teacher = parse_concept_map_file(teacher_map_path)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+
+
+def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tuple[str, Path]],
+            jobs: Sequence[tuple[str, Path, tuple[str, Path] | None]], out_dir: Path | None,
+            report_format: str, order: str,
+            levels: str) -> Iterator[tuple[AnalysisResult, tuple[GradedRecord, ...]]]:
+    """The loop of the module docstring, after the knobs.  A job is (fault prefix, student
+    map, one of `outputs` or None for stdout); `inputs` are the files read besides maps."""
+    made = [] if out_dir is None else _make_dir(out_dir)  # first, so the guard sees names in it
+    try:
+        _check_outputs((Path(teacher_map_path), *inputs, *(job[1] for job in jobs)), outputs,
+                       out_dir is not None)
+        teacher = parse_concept_map_file(teacher_map_path)
+    except BaseException:
+        for path in made:  # a run refused before any write leaves no directory it made
+            with suppress(OSError):
+                path.rmdir()
+        raise
     for fault, map_path, output in jobs:
         try:
             result = analyze(integrate(teacher, parse_concept_map_file(map_path)), levels=levels)

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -303,6 +304,7 @@ def test_fault_matrix(tmp_path, case):
         else:
             assert proc.stderr == b""
     assert outside_out_dir() == before
+    assert Path("/dev/full").is_char_device()  # a failed write removes only a regular file
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
@@ -759,19 +761,54 @@ class TestBatchCommand:
 
     def test_register_no_too_long_for_a_file_name(self, tmp_path, capsys):
         """A report whose name the file system refuses is refused before
-        the first report is written."""
+        the first report is written, also under an --out-dir that does not
+        exist yet; the directories made for it are removed."""
         register_no = "R" * 300
         roster = tmp_path / "roster.csv"
         write_roster(roster, [("CSE001", "a", "d", "s", "sub", "student_map.json"),
                               (register_no, "b", "d", "s", "sub", "student_map.json")])
-        out_dir = tmp_path / "out"
-        out_dir.mkdir()
-        code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+        (tmp_path / "out").mkdir()
+        for out_dir in (tmp_path / "out", tmp_path / "new" / "out"):
+            code = main(["batch", "--teacher", TEACHER, "--roster", str(roster),
+                         "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir)])
+            assert code == 2
+            assert capsys.readouterr() == ("", f"error: {roster}: register_no {register_no!r} "
+                                               f"could not be written: "
+                                               f"{os.strerror(errno.ENAMETOOLONG)}\n")
+            assert sorted(tmp_path.rglob("*")) == [tmp_path / "out", roster]
+
+    def test_bad_teacher_map_leaves_no_out_dir(self, tmp_path, capsys):
+        """--out-dir is made before the outputs are checked; a run refused
+        before any write, here by the teacher map, removes what it made."""
+        out_dir = tmp_path / "new" / "out"
+        code = main(["batch", "--teacher", str(tmp_path / "absent.json"), "--roster", ROSTER,
                      "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir)])
         assert code == 2
-        assert capsys.readouterr() == ("", f"error: {roster}: register_no {register_no!r} could "
-                                           f"not be written: {os.strerror(errno.ENAMETOOLONG)}\n")
-        assert list(out_dir.iterdir()) == []
+        assert capsys.readouterr() == (
+            "", f"error: {tmp_path / 'absent.json'}: missing or not a regular file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["analyze", "batch"])
+    def test_write_cut_short_leaves_no_partial_report(self, tmp_path, command):
+        """A write that fails once the file is open (here at a 2048-byte file
+        size limit, EFBIG, as ENOSPC does on a full disk) removes the partial
+        file: exit 2, one line, and every report left is whole."""
+        limit = 2048
+        golden = (GOLDEN_DIR / "sample_report.json").read_bytes()
+        assert len(golden) > limit
+        out_dir, out = tmp_path / "out", tmp_path / "r.json"
+        argv, who = {
+            "analyze": (["analyze", "--teacher", TEACHER, "--student", STUDENT, "--out", str(out)],
+                        f"--out {out}"),
+            "batch": (["batch", "--teacher", TEACHER, "--roster", ROSTER, "--maps-dir",
+                       str(DATA_DIR), "--out-dir", str(out_dir)], f"{ROSTER}: register_no 'CSE001'"),
+        }[command]
+        proc = run_cli([*argv, "--format", "json"], capture_output=True, text=True,
+                       env_extra={"PYTHONDONTWRITEBYTECODE": "1"},
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: {who} could not be written: {os.strerror(errno.EFBIG)}\n")
+        assert sorted(tmp_path.rglob("*")) == ([out_dir] if command == "batch" else [])
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     def test_out_dir_is_not_a_directory(self, tmp_path, capsys, under):

@@ -103,6 +103,16 @@ class TestValidateMap:
         assert by_id(cmap)["U1"].phrase == "part of"
         assert by_id(cmap)["C1"].phrase is None
 
+    def test_str_subclass_fields(self):
+        """An id, parent and phrase of a `str` subclass fail the whole-column
+        type check, pass the node-by-node one, and are accepted."""
+        class Name(str):
+            pass
+
+        rows = [(Name("S1"), None, None), (Name("U1"), Name("S1"), Name("part of"))]
+        for build in (validate_map, lambda rows: ConceptMap("s", rows)):
+            assert [tuple(node) for node in build(rows).nodes] == rows
+
 
 class TestComputeLevels:
     def test_sample_fixture(self, teacher_map):

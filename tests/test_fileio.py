@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import re
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import DATA_DIR, by_id
+from conftest import DATA_DIR, REPO_ROOT, by_id
 from roughmap.conceptmap import ConceptMap, MapNode, integrate, validate_map
 from roughmap.errors import (
     DuplicateNodeError,
@@ -29,7 +31,7 @@ from roughmap.fileio import (
 
 class TestParseConceptMap:
     def test_minimal_file(self):
-        cmap = parse_concept_map('{"subject":"demo","nodes":[{"id":"S1","parent":null}]}')
+        cmap = parse_concept_map(b'{"subject":"demo","nodes":[{"id":"S1","parent":null}]}')
         assert cmap.subject == "demo"
         assert len(cmap.nodes) == 1
 
@@ -49,7 +51,7 @@ class TestParseConceptMap:
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(MapFileParseError, match=r"line 2, column"):
-            parse_concept_map('{"subject": "x",\n "nodes": [}')
+            parse_concept_map(b'{"subject": "x",\n "nodes": [}')
 
     @pytest.mark.parametrize(
         "text",
@@ -65,7 +67,7 @@ class TestParseConceptMap:
     )
     def test_schema_violations(self, text):
         with pytest.raises(MapFileParseError):
-            parse_concept_map(text)
+            parse_concept_map(text.encode())
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError, match="absent.json: missing or not a regular file$"):
@@ -91,7 +93,7 @@ def test_one_set_of_node_rules(node, message):
     nodes = [("S", None), node]
     text = json.dumps({"nodes": [dict(zip(MapNode._fields, row)) for row in nodes]})
     with pytest.raises(MapFileParseError) as from_file:
-        parse_concept_map(text, "m.json")
+        parse_concept_map(text.encode(), "m.json")
     assert str(from_file.value) == f"m.json: {message}"
     for build in (validate_map, lambda rows: ConceptMap("s", rows),
                   lambda rows: ConceptMap("s", [MapNode(*row) for row in rows])):
@@ -142,6 +144,46 @@ class TestParseRoster:
         path.write_text("register_no,name,department,semester,subject,map_path\n"
                         "R\xa01,a,d,s,sub,m.json\nR\xe92,a,d,s,sub,m.json\n", encoding="utf-8")
         assert [r.register_no for r in parse_roster(path)] == ["R\xa01", "R\xe92"]
+
+    def test_blank_line_is_no_record(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{ROSTER_HEADER}\nR1,a,d,s,sub,m.json\n\r\n\nR2,b,d,s,sub,m.json\n\n")
+        assert [r.register_no for r in parse_roster(path)] == ["R1", "R2"]
+
+    @pytest.mark.parametrize("rows, message", [
+        ("R1,a,d,s,sub,m.json\n\n\n,a,d,s,sub,m.json\n", "line 5: empty register_no"),
+        ('R1,"a\nb",d,s,sub,m.json\n\nR2,a,d\n',
+         "line 5: missing cell(s): semester, subject, map_path"),
+        ("\r\nR1,a,d,s,sub,m.json,x\r\n", "line 3: 1 cell(s) past the header"),
+    ], ids=["blank-lines", "quoted-newline", "crlf"])
+    def test_line_number_counts_every_line(self, tmp_path, rows, message):
+        """Blank lines and a quoted newline count as the lines they are."""
+        path = tmp_path / "r.csv"
+        path.write_text(ROSTER_HEADER + rows, newline="")
+        with pytest.raises(RosterSchemaError) as info:
+            parse_roster(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_repeated_column_keeps_the_last(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(f"{ROSTER_HEADER.strip()},map_path\nR1,a,d,s,sub,first.json,last.json\n"
+                        "R2,a,d,s,sub,first.json\n")
+        with pytest.raises(RosterSchemaError) as info:
+            parse_roster(path)
+        assert str(info.value) == f"{path}: line 3: missing cell(s): map_path"
+        path.write_text(f"{ROSTER_HEADER.strip()},map_path\nR1,a,d,s,sub,first.json,last.json\n")
+        assert [r.map_path for r in parse_roster(path)] == ["last.json"]
+
+    def test_bench_rosters_read_back(self, tmp_path, monkeypatch):
+        """The bench's input generator keeps its own copy of the roster
+        columns; each roster it writes reads back in chunk order."""
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+        gen = importlib.import_module("gen")
+        inputs = gen.write_inputs(tmp_path, "cohort", 1, 5, 2, scale=0.25)
+        rosters = [parse_roster(path) for path in inputs.rosters]
+        assert [tuple(r.register_no for r in roster) for roster in rosters] == list(inputs.chunks)
+        assert all(Path(inputs.maps_dir, r.map_path) == inputs.student_map(r.register_no)
+                   for roster in rosters for r in roster)
 
 
 ROSTER_HEADER = "register_no,name,department,semester,subject,map_path\n"
