@@ -11,22 +11,25 @@ no record, a row with fewer or more cells than the header is refused, and a
 line number counts every physical line.  Both are UTF-8 text, read from
 bytes (`parse_concept_map` takes bytes only); one leading byte order mark is
 skipped.  Exit statuses: 0 success, 1 validation/analysis error, 2 I/O or
-parse error; a fault prints one ``error:`` line on stderr.
+parse error or memory exhausted, 130 interrupted; a fault prints one
+``error:`` line on stderr.
 
 `_read` is the one way an input file is read: it must be a regular file.
-`analyze` is a `batch` of one.  Both check the knobs before they read
-anything.  `_graded` then makes ``--out-dir``, so that the output guard sees
-the names in it, and refuses (exit 2) an output that is an input
-(``<who> would overwrite input <path>``), a report named cohort_summary.csv
-(``<who> would overwrite cohort_summary.csv``) or, in ``--out-dir``, a
-symlink, a file that is not a regular file (a FIFO's write would block) or a
-hard link, and last any output whose stat fails but not as "no such file"
-(a long name, an ``--out-dir`` that is a file), where ``<who>`` is ``--out X``,
-``<roster>: register_no 'R'`` or ``<roster>: cohort_summary.csv``, then reads
-the teacher map and grades each student.  A refusal up to there removes the
-directories it made.  That last refusal, and a failed write, give ``<who>
-could not be written: <reason>``; a write cut short once the file is open
-(a full disk) removes the partial file if it is a regular file.
+`analyze` and `batch` run the same steps in the same order.  Both check the
+knobs before they read anything.  `_prepared` then makes ``--out-dir``, so
+that the output guard sees the names in it, and refuses (exit 2) an output
+that is an input (``<who> would overwrite input <path>``), a report named
+cohort_summary.csv (``<who> would overwrite cohort_summary.csv``) or, in
+``--out-dir``, a symlink, a file that is not a regular file (a FIFO's write
+would block) or a hard link, and last any output whose stat fails but not as
+"no such file" (a long name, an ``--out-dir`` that is a file), where ``<who>``
+is ``--out X``, ``<roster>: register_no 'R'`` or ``<roster>:
+cohort_summary.csv``; that last refusal, and a failed write, give ``<who>
+could not be written: <reason>``.  It then reads the teacher map; a refusal
+up to there removes the directories it made.  `_graded` then grades one
+student at a time, and each report is written before the next student is
+graded; a write cut short once the file is open (a full disk) removes the
+partial file if it is a regular file.
 
 A run (`run_analyze`, `run_batch` or `run_validate`) pauses the cyclic
 garbage collector and restores its prior state on every exit: the pipeline
@@ -49,7 +52,7 @@ from itertools import repeat, takewhile
 from operator import itemgetter
 from pathlib import Path
 from stat import S_ISLNK, S_ISREG
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 from .analysis import DEEPEST_ONLY, AnalysisResult, _check_levels, analyze
 from .conceptmap import ConceptMap, _node_fault, integrate, validate_map
@@ -145,6 +148,8 @@ def parse_concept_map(data: bytes, source: str = "<string>") -> ConceptMap:
         ) from exc
     except RecursionError as exc:
         raise MapFileParseError(f"{source}: JSON nested too deeply") from exc
+    except MemoryError as exc:
+        raise MapFileParseError(f"{source}: out of memory") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise MapFileParseError(f"{source}: expected an object with a 'nodes' array")
     subject = doc.get("subject", "untitled")
@@ -210,21 +215,28 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
 
 def _exit_status(run: Callable[[], object]) -> int:
     """Call `run` with the cyclic collector paused and return the process
-    exit status: the one place a fault becomes exit 1 (a ValidationError)
-    or 2 (an InputError or OSError), with a one-line diagnostic on stderr.
-    A stderr that is closed or fails gets no line, and the status stands."""
+    exit status: the one place a fault becomes exit 1 (a ValidationError),
+    2 (an InputError, OSError or MemoryError) or 130 (an interrupt, such as
+    Ctrl-C), with a one-line diagnostic on stderr.  A stderr that is closed
+    or fails gets no line, and the status stands."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         run()
+    except KeyboardInterrupt as exc:  # `batch` says how many reports it wrote
+        status, reason = 130, str(exc) or "interrupted"
+    except MemoryError:  # the line is written once the exception has freed what it held
+        status, reason = 2, "out of memory"
     except (ValidationError, InputError, OSError) as exc:
-        with suppress(OSError):  # with no stderr to tell it, the status still does
-            _put(sys.stderr, "stderr", f"error: {exc}\n")
-        return 1 if isinstance(exc, ValidationError) else 2
+        status, reason = 1 if isinstance(exc, ValidationError) else 2, str(exc)
+    else:
+        return 0
     finally:
         if collecting:
             gc.enable()
-    return 0
+    with suppress(OSError):  # with no stderr to tell it, the status still does
+        _put(sys.stderr, "stderr", f"error: {reason}\n")
+    return status
 
 
 def _write(output: tuple[str, Path] | None, text: str) -> None:
@@ -312,32 +324,30 @@ def _check_outputs(read: Sequence[Path], outputs: Sequence[tuple[str, Path]],
         written.add(path)
 
 
-def _graded(teacher_map_path: str, inputs: Sequence[Path], outputs: Sequence[tuple[str, Path]],
-            jobs: Sequence[tuple[str, Path, tuple[str, Path] | None]], out_dir: Path | None,
-            report_format: str, order: str,
-            levels: str) -> Iterator[tuple[AnalysisResult, tuple[GradedRecord, ...]]]:
-    """The loop of the module docstring, after the knobs.  A job is (fault prefix, student
-    map, one of `outputs` or None for stdout); `inputs` are the files read besides maps."""
+def _prepared(teacher_map_path: str, read: Sequence[Path],
+              outputs: Sequence[tuple[str, Path]], out_dir: Path | None) -> ConceptMap:
+    """Make `out_dir`, guard `outputs` against every file read, and parse the teacher map."""
     made = [] if out_dir is None else _make_dir(out_dir)  # first, so the guard sees names in it
     try:
-        _check_outputs((Path(teacher_map_path), *inputs, *(job[1] for job in jobs)), outputs,
-                       out_dir is not None)
-        teacher = parse_concept_map_file(teacher_map_path)
+        _check_outputs((Path(teacher_map_path), *read), outputs, out_dir is not None)
+        return parse_concept_map_file(teacher_map_path)
     except BaseException:
         for path in made:  # a run refused before any write leaves no directory it made
             with suppress(OSError):
                 path.rmdir()
         raise
-    for fault, map_path, output in jobs:
-        try:
-            result = analyze(integrate(teacher, parse_concept_map_file(map_path)), levels=levels)
-            graded = grade_records(result.records)
-            plan = remediation_sequence(result.records, order=order)
-            report = render_report(result, graded, plan, report_format)
-        except (ValidationError, InputError, OSError) as exc:
-            raise type(exc)(f"{fault}{exc}") from exc
-        _write(output, report)
-        yield result, graded
+
+
+def _graded(teacher: ConceptMap, map_path: Path, fault: str, report_format: str, order: str,
+            levels: str) -> tuple[AnalysisResult, tuple[GradedRecord, ...], str]:
+    """One student's analysis, graded records and report; a fault's message starts with `fault`."""
+    try:
+        result = analyze(integrate(teacher, parse_concept_map_file(map_path)), levels=levels)
+        graded = grade_records(result.records)
+        plan = remediation_sequence(result.records, order=order)
+        return result, graded, render_report(result, graded, plan, report_format)
+    except (ValidationError, InputError, OSError) as exc:
+        raise type(exc)(f"{fault}{exc}") from exc
 
 
 def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | None = None,
@@ -345,13 +355,11 @@ def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | No
                 levels: str = DEEPEST_ONLY) -> int:
     """Grade one student and return the exit status.  The report goes to
     `out_path`, or to stdout when it is None."""
-    out = None if out_path is None else (f"--out {Path(out_path)}", Path(out_path))
-    outputs = [] if out is None else [out]
-    job = ("", Path(student_map_path), out)
-
     def run() -> None:
         _check_knobs(report_format, order, levels)
-        list(_graded(teacher_map_path, (), outputs, [job], None, report_format, order, levels))
+        out = None if out_path is None else (f"--out {Path(out_path)}", Path(out_path))
+        teacher = _prepared(teacher_map_path, [Path(student_map_path)], [out] if out else [], None)
+        _write(out, _graded(teacher, Path(student_map_path), "", report_format, order, levels)[2])
 
     return _exit_status(run)
 
@@ -366,21 +374,26 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
         _check_knobs(report_format, order, levels)
         roster = parse_roster(roster_path)
         out = Path(out_dir)
-        outputs, jobs = [(f"{roster_path}: {SUMMARY_FILENAME}", out / SUMMARY_FILENAME)], []
-        for rec in roster:
-            report = (f"{roster_path}: register_no {rec.register_no!r}",
-                      out / f"{rec.register_no}.{report_format}")
-            outputs.append(report)
-            jobs.append((f"student {rec.register_no}: ", Path(maps_dir or ".", rec.map_path), report))
-        results = _graded(teacher_map_path, (Path(roster_path),), outputs, jobs, out,
-                          report_format, order, levels)  # first in zip, to run with no rows too
-        rows = [(rec.register_no, format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
-                 ";".join(f"{g.node}={g.grade}" for g in graded))
-                for (result, graded), rec in zip(results, roster)]
-        summary = io.StringIO()
-        csv.writer(summary, lineterminator="\n").writerows(
+        summary = (f"{roster_path}: {SUMMARY_FILENAME}", out / SUMMARY_FILENAME)
+        outputs = [(f"{roster_path}: register_no {rec.register_no!r}",
+                    out / f"{rec.register_no}.{report_format}") for rec in roster]
+        maps = [Path(maps_dir or ".", rec.map_path) for rec in roster]
+        teacher = _prepared(teacher_map_path, [Path(roster_path), *maps], [summary, *outputs], out)
+        rows = []
+        try:
+            for rec, map_path, output in zip(roster, maps, outputs):
+                result, graded, report = _graded(teacher, map_path, f"student {rec.register_no}: ",
+                                                 report_format, order, levels)
+                _write(output, report)
+                rows.append((rec.register_no,
+                             format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
+                             ";".join(f"{g.node}={g.grade}" for g in graded)))
+        except KeyboardInterrupt:
+            raise KeyboardInterrupt(f"interrupted after {len(rows)} of {len(roster)} students")
+        table = io.StringIO()
+        csv.writer(table, lineterminator="\n").writerows(
             [("register_no", "expected_result", "grades"), *rows])
-        _write(outputs[0], summary.getvalue())
+        _write(summary, table.getvalue())
 
     return _exit_status(run)
 

@@ -7,11 +7,14 @@ import importlib.util
 import io
 import json
 import os
+import re
 import resource
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from itertools import chain
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 
 import strategies
 from conftest import DATA_DIR, REPO_ROOT
+from roughmap import fileio
 from roughmap.cli import COMMANDS, _read, build_parser, main
 from roughmap.grading import REPORT_FORMATS, parse_report
 
@@ -421,6 +425,81 @@ class TestHostileMapFiles:
         fault = "student R1: " * (command == "batch" and role == "student")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"error: {fault}{fifo}: missing or not a regular file\n")
+
+
+class TestRunStops:
+    """A run stopped by an interrupt (Ctrl-C) or by running out of memory
+    ends in one line and a status, not a traceback."""
+
+    @pytest.mark.parametrize("command, stop, status, line", [
+        ("analyze", KeyboardInterrupt, 130, "interrupted"),
+        ("analyze", MemoryError, 2, "out of memory"),
+        ("batch", KeyboardInterrupt, 130, "interrupted after 1 of 2 students"),
+        ("batch", MemoryError, 2, "out of memory"),
+    ])
+    def test_stop_while_grading(self, tmp_path, capsys, monkeypatch, command, stop, status, line):
+        """The stop comes in the last student's integrate: `batch` has written
+        the first student's report and no summary."""
+        integrate, calls = fileio.integrate, []
+
+        def stopping(teacher, student):
+            calls.append(student)
+            if len(calls) == {"analyze": 1, "batch": 2}[command]:
+                raise stop
+            return integrate(teacher, student)
+
+        monkeypatch.setattr(fileio, "integrate", stopping)
+        out_dir = tmp_path / "out"
+        argv = {"analyze": ["analyze", "--teacher", TEACHER, "--student", STUDENT],
+                "batch": ["batch", "--teacher", TEACHER, "--roster", ROSTER, "--maps-dir",
+                          str(DATA_DIR), "--out-dir", str(out_dir)]}[command]
+        try:
+            code = main(argv)
+        except KeyboardInterrupt:  # would end the whole test session
+            pytest.fail("KeyboardInterrupt escaped the run")
+        assert code == status
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+        if command == "batch":
+            assert list(out_dir.iterdir()) == [out_dir / "CSE001.text"]
+
+    def test_interrupted_batch(self, tmp_path):
+        """SIGINT, sent once the first report exists, to a batch that would
+        run for seconds: exit 130 and one line that counts the reports written.
+        The report being written when the signal came may be cut short."""
+        students = 10_000
+        roster, out_dir = tmp_path / "roster.csv", tmp_path / "out"
+        write_roster(roster, [(f"R{i:05}", "a", "d", "s", "sub", STUDENT) for i in range(students)])
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        argv = [sys.executable, "-m", "roughmap", "batch", "--teacher", TEACHER,
+                "--roster", str(roster), "--out-dir", str(out_dir)]
+        # An inherited "ignore SIGINT", as in a background job, would keep Python's handler off.
+        with subprocess.Popen(
+                argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)) as proc:
+            while not (out_dir / "R00000.text").exists() and proc.poll() is None:
+                time.sleep(0.001)  # polls for the report; the signal is not timed by a sleep
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stdout) == (130, "")
+        match = re.fullmatch(rf"error: interrupted after (\d+) of {students} students\n", stderr)
+        assert match, stderr
+        written = int(match[1])
+        reports = [path for path in out_dir.iterdir() if path.suffix == ".text"]
+        assert written <= len(reports) <= written + 1
+        assert not (out_dir / "cohort_summary.csv").exists()
+
+    def test_map_too_large_for_memory(self, tmp_path):
+        """`validate` of a 600 000-leaf map (18 MB; about 260 MB at its peak)
+        under a 150 MB address-space limit exits 2 with one line naming it."""
+        big, limit = tmp_path / "big.json", 150 * 2**20
+        with big.open("w", encoding="utf-8") as fh:
+            fh.write('{"nodes":[{"id":"S","parent":null}')
+            fh.writelines(f',{{"id":"L{i}","parent":"S"}}' for i in range(600_000))
+            fh.write("]}")
+        proc = run_cli(["validate", str(big)], capture_output=True, text=True,
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: {big}: out of memory\n")
 
 
 class TestByteOrderMark:
@@ -824,6 +903,26 @@ class TestBatchCommand:
                                            f"written: {os.strerror(errno.ENOTDIR)}\n")
         assert file_bytes(tmp_path) == before
 
+    @pytest.mark.parametrize("missing", [False, True], ids=["teacher", "missing-teacher"])
+    def test_roster_of_only_the_header(self, tmp_path, capsys, missing):
+        """A roster with no rows still makes --out-dir, guards the outputs and
+        reads the teacher map: the summary is its header line alone, and a
+        missing teacher map leaves no --out-dir."""
+        roster, out_dir = tmp_path / "roster.csv", tmp_path / "new" / "out"
+        write_roster(roster, [])
+        teacher = str(tmp_path / "absent.json") if missing else TEACHER
+        code = main(["batch", "--teacher", teacher, "--roster", str(roster),
+                     "--out-dir", str(out_dir)])
+        if missing:
+            assert (code, capsys.readouterr()) == (
+                2, ("", f"error: {teacher}: missing or not a regular file\n"))
+            assert list(tmp_path.iterdir()) == [roster]
+        else:
+            assert (code, capsys.readouterr()) == (0, ("", ""))
+            assert list(out_dir.iterdir()) == [out_dir / "cohort_summary.csv"]
+            assert (out_dir / "cohort_summary.csv").read_bytes() == (
+                b"register_no,expected_result,grades\n")
+
     def test_json_format_files(self, tmp_path):
         roster = tmp_path / "roster.csv"
         write_roster(roster, [("R1", "a", "d", "s", "sub", "student_map.json")])
@@ -1022,6 +1121,21 @@ class TestDirectReader:
                 for argv in (batch, analyze):
                     assert _read(argv) is not None
                     assert _read(argv) == argparse_values(argv)
+
+    def test_bench_traces_every_program_layer(self, tmp_path, monkeypatch):
+        """`perfbench/run.py --trace 1` takes the median of each layer's spans,
+        so every name that `perfbench/spans.py` patches must be called through
+        it: an `analyze` in each format records each program layer."""
+        bench = bench_run_module(monkeypatch)
+        import spans
+
+        tracer = spans.Tracer()
+        with tracer.patched():
+            for fmt in REPORT_FORMATS:
+                assert main(["analyze", "--teacher", TEACHER, "--student", STUDENT,
+                             "--format", fmt, "--out", str(tmp_path / f"report.{fmt}")]) == 0
+        bench_own = {"roughset.regions", "cli.analyze"}  # spans that run.py opens itself
+        assert set(bench.TIMED_LAYERS.values()) - bench_own <= {span[0] for span in tracer.spans}
 
     def test_plain_commands_do_not_import_argparse(self, tmp_path):
         out = tmp_path / "report.txt"
