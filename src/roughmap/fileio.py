@@ -11,8 +11,8 @@ no record, a row with fewer or more cells than the header is refused, and a
 line number counts every physical line.  Both are UTF-8 text, read from
 bytes (`parse_concept_map` takes bytes only); one leading byte order mark is
 skipped.  Exit statuses: 0 success, 1 validation/analysis error, 2 I/O or
-parse error or memory exhausted, 130 interrupted; a fault prints one
-``error:`` line on stderr.
+parse error or memory exhausted, 130 interrupted (Ctrl-C), 143 terminated
+(SIGTERM); a fault prints one ``error:`` line on stderr.
 
 `_read` is the one way an input file is read: it must be a regular file.
 `analyze` and `batch` run the same steps in the same order.  Both check the
@@ -28,13 +28,16 @@ cohort_summary.csv``; that last refusal, and a failed write, give ``<who>
 could not be written: <reason>``.  It then reads the teacher map; a refusal
 up to there removes the directories it made.  `_graded` then grades one
 student at a time, and each report is written before the next student is
-graded; a write cut short once the file is open (a full disk) removes the
-partial file if it is a regular file.
+graded.  Each ``--out-dir`` output is opened in ``--out-dir``, opened once,
+checked again by the guard's rules and rewritten in place; a write cut short
+once the file is open (a full disk, an interrupt) removes the file if it is
+a regular file with one link.
 
 A run (`run_analyze`, `run_batch` or `run_validate`) pauses the cyclic
-garbage collector and restores its prior state on every exit: the pipeline
-builds no reference cycles (tests/test_no_cycles.py checks this), so the
-collector's passes over the run's many objects would find nothing.
+garbage collector, in the main thread makes SIGTERM an interrupt, and
+restores both on every exit: the pipeline builds no reference cycles
+(tests/test_no_cycles.py checks this), so the collector's passes over the
+run's many objects would find nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import io
 import json
 import os
 import re
+import signal
 import sys
 from contextlib import suppress
 from itertools import repeat, takewhile
@@ -101,6 +105,9 @@ SUMMARY_FILENAME = "cohort_summary.csv"
 _ID, _PARENT = itemgetter("id"), itemgetter("parent")
 # Write errors raised after the file is open, which leave it partly written.
 _PARTIAL = frozenset((errno.EFBIG, errno.ENOSPC, errno.EDQUOT))
+# Opening an ``--out-dir`` output: no symlink is followed, no FIFO blocks, nothing is cut.
+_CHECKED_OPEN = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
+_OPEN_DIR = os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC
 # A path separator or a control character (Unicode category Cc).
 _UNSAFE_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]").search
 
@@ -213,18 +220,31 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
     return tuple(records.values())
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised where the run stands."""
+
+
+def _terminate(signum: int, frame: object) -> None:
+    raise _Terminated
+
+
 def _exit_status(run: Callable[[], object]) -> int:
     """Call `run` with the cyclic collector paused and return the process
     exit status: the one place a fault becomes exit 1 (a ValidationError),
-    2 (an InputError, OSError or MemoryError) or 130 (an interrupt, such as
-    Ctrl-C), with a one-line diagnostic on stderr.  A stderr that is closed
-    or fails gets no line, and the status stands."""
+    2 (an InputError, OSError or MemoryError), 130 (an interrupt, such as
+    Ctrl-C) or 143 (SIGTERM), with a one-line diagnostic on stderr.  A
+    stderr that is closed or fails gets no line, and the status stands."""
     collecting = gc.isenabled()
     gc.disable()
     try:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    except ValueError:  # off the main thread, which alone may set a handler
+        previous = False
+    try:
         run()
     except KeyboardInterrupt as exc:  # `batch` says how many reports it wrote
-        status, reason = 130, str(exc) or "interrupted"
+        status = 143 if isinstance(exc, _Terminated) else 130
+        reason = str(exc) or "interrupted"
     except MemoryError:  # the line is written once the exception has freed what it held
         status, reason = 2, "out of memory"
     except (ValidationError, InputError, OSError) as exc:
@@ -232,6 +252,8 @@ def _exit_status(run: Callable[[], object]) -> int:
     else:
         return 0
     finally:
+        if previous is not False:  # None: a handler not set from Python
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
         if collecting:
             gc.enable()
     with suppress(OSError):  # with no stderr to tell it, the status still does
@@ -239,20 +261,50 @@ def _exit_status(run: Callable[[], object]) -> int:
     return status
 
 
-def _write(output: tuple[str, Path] | None, text: str) -> None:
-    """Write `text` to the path of the output `(who, path)`, or to stdout when it is None.
-    A write that fails once the file is open, such as on a full disk, removes the partial
-    file if it is a regular file with one link, so that an output is whole or absent."""
+def _write(output: tuple[str, Path] | None, text: str, dir_fd: int | None = None) -> None:
+    """Write `text` to the path of the output `(who, path)`, or to stdout when it is None;
+    with `dir_fd`, checked and in place in that directory.  A write that fails once the
+    file is open, such as on a full disk, removes the partial file if it is a regular
+    file with one link, so that an output is whole or absent."""
     if output is None:
         return _put(sys.stdout, "stdout", text)
+    who, path = output
     try:
-        output[1].write_text(text, encoding="utf-8")
+        if dir_fd is None:
+            path.write_text(text, encoding="utf-8")
+        else:
+            _write_at(dir_fd, who, path, text.encode("utf-8"))
     except OSError as exc:
-        entry = exc.errno in _PARTIAL and _stat(output[1], follow_symlinks=False)
+        entry = dir_fd is None and exc.errno in _PARTIAL and _stat(path, follow_symlinks=False)
         if entry and S_ISREG(entry.st_mode) and entry.st_nlink == 1:  # not /dev/full, say
             with suppress(OSError):
-                output[1].unlink()
-        raise _unwritable(output[0], exc) from None
+                path.unlink()
+        raise _unwritable(who, exc) from None
+
+
+def _write_at(dir_fd: int, who: str, path: Path, data: bytes) -> None:
+    """`_write` to the name of `path` in the directory `dir_fd`."""
+    try:
+        fd = os.open(path.name, _CHECKED_OPEN, 0o666, dir_fd=dir_fd)
+    except OSError:
+        with suppress(OSError):  # refuse the entry that failed the open, such as a symlink
+            _check_entry(who, path, os.stat(path.name, dir_fd=dir_fd, follow_symlinks=False))
+        raise
+    checked = False
+    try:
+        _check_entry(who, path, os.fstat(fd))
+        checked = True
+        written = 0
+        while written < len(data):  # a write may take only part
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, written)  # cut after the write: cutting first costs what O_TRUNC does
+    except BaseException:  # an interrupt too
+        if checked:
+            with suppress(OSError):
+                os.unlink(path.name, dir_fd=dir_fd)
+        raise
+    finally:
+        os.close(fd)
 
 
 def _unwritable(who: str, exc: OSError) -> OSError:
@@ -299,6 +351,17 @@ def _make_dir(path: Path) -> list[Path]:
     return made
 
 
+def _check_entry(who: str, path: Path, st: os.stat_result | None) -> None:
+    """Refuse the output `(who, path)` whose own entry in ``--out-dir``, by its lstat
+    or by the fstat of the file opened, is a symlink, not a regular file (a FIFO's
+    write would block) or a hard link."""
+    fault = st and ("would write through symlink" if S_ISLNK(st.st_mode) else
+                    "would write over a non-regular file" if not S_ISREG(st.st_mode) else
+                    "would write through hard link" if st.st_nlink > 1 else None)
+    if fault:
+        raise InputError(f"{who} {fault} {path}")
+
+
 def _check_outputs(read: Sequence[Path], outputs: Sequence[tuple[str, Path]],
                    in_dir: bool) -> None:
     """The output guard of the module docstring; `read` are the inputs, and
@@ -312,25 +375,21 @@ def _check_outputs(read: Sequence[Path], outputs: Sequence[tuple[str, Path]],
             raise InputError(f"{who} would overwrite input {by_identity[st[1:3]]}")
         if path in written:
             raise InputError(f"{who} would overwrite {path.name}")
-        entry = in_dir and _stat(path, follow_symlinks=False)  # the name itself
-        if entry and S_ISLNK(entry.st_mode):
-            raise InputError(f"{who} would write through symlink {path}")
-        if entry and not S_ISREG(entry.st_mode):  # a FIFO's write would block
-            raise InputError(f"{who} would write over a non-regular file {path}")
-        if entry and entry.st_nlink > 1:
-            raise InputError(f"{who} would write through hard link {path}")
+        _check_entry(who, path, in_dir and _stat(path, follow_symlinks=False))  # the name itself
         if isinstance(st, OSError):  # such as ENAMETOOLONG, or ENOTDIR under a file
             raise _unwritable(who, st)
         written.add(path)
 
 
-def _prepared(teacher_map_path: str, read: Sequence[Path],
-              outputs: Sequence[tuple[str, Path]], out_dir: Path | None) -> ConceptMap:
-    """Make `out_dir`, guard `outputs` against every file read, and parse the teacher map."""
+def _prepared(teacher_map_path: str, read: Sequence[Path], outputs: Sequence[tuple[str, Path]],
+              out_dir: Path | None) -> tuple[ConceptMap, int | None]:
+    """Make `out_dir`, guard `outputs` against every file read, parse the teacher map,
+    and open `out_dir`, following a symlink, for the caller to write in and close."""
     made = [] if out_dir is None else _make_dir(out_dir)  # first, so the guard sees names in it
     try:
         _check_outputs((Path(teacher_map_path), *read), outputs, out_dir is not None)
-        return parse_concept_map_file(teacher_map_path)
+        teacher = parse_concept_map_file(teacher_map_path)
+        return teacher, None if out_dir is None else os.open(out_dir, _OPEN_DIR)
     except BaseException:
         for path in made:  # a run refused before any write leaves no directory it made
             with suppress(OSError):
@@ -358,7 +417,8 @@ def run_analyze(teacher_map_path: str, student_map_path: str, out_path: str | No
     def run() -> None:
         _check_knobs(report_format, order, levels)
         out = None if out_path is None else (f"--out {Path(out_path)}", Path(out_path))
-        teacher = _prepared(teacher_map_path, [Path(student_map_path)], [out] if out else [], None)
+        teacher = _prepared(teacher_map_path, [Path(student_map_path)], [out] if out else [],
+                            None)[0]
         _write(out, _graded(teacher, Path(student_map_path), "", report_format, order, levels)[2])
 
     return _exit_status(run)
@@ -378,22 +438,25 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
         outputs = [(f"{roster_path}: register_no {rec.register_no!r}",
                     out / f"{rec.register_no}.{report_format}") for rec in roster]
         maps = [Path(maps_dir or ".", rec.map_path) for rec in roster]
-        teacher = _prepared(teacher_map_path, [Path(roster_path), *maps], [summary, *outputs], out)
+        teacher, dir_fd = _prepared(teacher_map_path, [Path(roster_path), *maps],
+                                    [summary, *outputs], out)
         rows = []
         try:
             for rec, map_path, output in zip(roster, maps, outputs):
                 result, graded, report = _graded(teacher, map_path, f"student {rec.register_no}: ",
                                                  report_format, order, levels)
-                _write(output, report)
+                _write(output, report, dir_fd)
                 rows.append((rec.register_no,
                              format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
                              ";".join(f"{g.node}={g.grade}" for g in graded)))
-        except KeyboardInterrupt:
-            raise KeyboardInterrupt(f"interrupted after {len(rows)} of {len(roster)} students")
-        table = io.StringIO()
-        csv.writer(table, lineterminator="\n").writerows(
-            [("register_no", "expected_result", "grades"), *rows])
-        _write(summary, table.getvalue())
+            table = io.StringIO()
+            csv.writer(table, lineterminator="\n").writerows(
+                [("register_no", "expected_result", "grades"), *rows])
+            _write(summary, table.getvalue(), dir_fd)
+        except KeyboardInterrupt as exc:
+            raise type(exc)(f"interrupted after {len(rows)} of {len(roster)} students") from None
+        finally:
+            os.close(dir_fd)
 
     return _exit_status(run)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from roughmap.analysis import (
     ImportanceRecord,
     analyze,
@@ -34,10 +35,7 @@ class TestTruncated:
                 for k in (2, 3):
                     scaled = math.floor(value * 10 ** k)
                     assert truncated(value, k) == Fraction(scaled, 10 ** k)
-                    whole, frac = divmod(scaled, 10 ** k)
-                    digits = f"{frac:0{k}d}".rstrip("0")
-                    assert format_fraction(value, k) == (f"{whole}.{digits}" if digits
-                                                         else str(whole))
+                    assert format_fraction(value, k) == reference.display(value, k)
                 record = ImportanceRecord(node="n", level=0, child_count=q, overlap=p,
                                           alpha=value)
                 (graded,) = grade_records([record])

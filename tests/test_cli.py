@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from itertools import chain
 from pathlib import Path
@@ -462,10 +463,11 @@ class TestRunStops:
         if command == "batch":
             assert list(out_dir.iterdir()) == [out_dir / "CSE001.text"]
 
-    def test_interrupted_batch(self, tmp_path):
-        """SIGINT, sent once the first report exists, to a batch that would
-        run for seconds: exit 130 and one line that counts the reports written.
-        The report being written when the signal came may be cut short."""
+    @staticmethod
+    def stop_batch(tmp_path, signum):
+        """Send `signum` once the first report exists to a batch that would run
+        for seconds; return its status, stdout, and the count that its one
+        stderr line gives of the reports written."""
         students = 10_000
         roster, out_dir = tmp_path / "roster.csv", tmp_path / "out"
         write_roster(roster, [(f"R{i:05}", "a", "d", "s", "sub", STUDENT) for i in range(students)])
@@ -478,15 +480,54 @@ class TestRunStops:
                 preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)) as proc:
             while not (out_dir / "R00000.text").exists() and proc.poll() is None:
                 time.sleep(0.001)  # polls for the report; the signal is not timed by a sleep
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             stdout, stderr = proc.communicate(timeout=60)
-        assert (proc.returncode, stdout) == (130, "")
         match = re.fullmatch(rf"error: interrupted after (\d+) of {students} students\n", stderr)
         assert match, stderr
         written = int(match[1])
         reports = [path for path in out_dir.iterdir() if path.suffix == ".text"]
         assert written <= len(reports) <= written + 1
         assert not (out_dir / "cohort_summary.csv").exists()
+        return proc.returncode, stdout
+
+    def test_interrupted_batch(self, tmp_path):
+        """SIGINT: exit 130 and one line that counts the reports written.  A
+        report is written whole or not at all, but the signal may come after
+        a report is written and before it is counted."""
+        assert self.stop_batch(tmp_path, signal.SIGINT) == (130, "")
+
+    def test_terminated_batch(self, tmp_path):
+        """SIGTERM, as `kill` and service managers send: exit 143, one line."""
+        assert self.stop_batch(tmp_path, signal.SIGTERM) == (143, "")
+
+    def test_stop_while_writing(self, tmp_path, capsys, monkeypatch):
+        """An interrupt during a report's write removes that report, also one
+        that an earlier run wrote, and the run's SIGTERM handler is gone."""
+        out_dir, real_write = tmp_path / "out", os.write
+        argv = ["batch", "--teacher", TEACHER, "--roster", ROSTER, "--maps-dir", str(DATA_DIR),
+                "--out-dir", str(out_dir)]
+        handler = signal.getsignal(signal.SIGTERM)
+        assert main(argv) == 0
+
+        def stopped(fd, data):
+            real_write(fd, data[:10])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "write", stopped)
+        assert main(argv) == 130
+        monkeypatch.undo()
+        assert capsys.readouterr() == ("", "error: interrupted after 0 of 2 students\n")
+        assert sorted(path.name for path in out_dir.iterdir()) == ["CSE002.text",
+                                                                   "cohort_summary.csv"]
+        assert signal.getsignal(signal.SIGTERM) == handler
+
+    def test_run_off_the_main_thread(self, capsys):
+        """Where no signal handler can be set, a run goes on without one."""
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(["validate", TEACHER])))
+        thread.start()
+        thread.join()
+        assert (codes, capsys.readouterr()) == ([0], (f"valid: {TEACHER}\n", ""))
 
     def test_map_too_large_for_memory(self, tmp_path):
         """`validate` of a 600 000-leaf map (18 MB; about 260 MB at its peak)
@@ -571,14 +612,20 @@ class TestBatchCommand:
     def test_write_fault_names_the_output(self, tmp_path, monkeypatch, capsys, output, who):
         """A write that fails past the output guard, here on a full disk,
         names the output and the system's reason, in one line."""
-        write_text = Path.write_text
+        real_open, real_write, names = os.open, os.write, {}
 
-        def full(path, *args, **kwargs):
-            if path.name == output:
+        def spied_open(name, *args, **kwargs):
+            fd = real_open(name, *args, **kwargs)
+            names[fd] = os.path.basename(name)
+            return fd
+
+        def full(fd, data):
+            if names.get(fd) == output:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return write_text(path, *args, **kwargs)
+            return real_write(fd, data)
 
-        monkeypatch.setattr(Path, "write_text", full)
+        monkeypatch.setattr(os, "open", spied_open)
+        monkeypatch.setattr(os, "write", full)
         assert main(["batch", "--teacher", TEACHER, "--roster", ROSTER, "--maps-dir", str(DATA_DIR),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr() == (
@@ -931,6 +978,104 @@ class TestBatchCommand:
               "--maps-dir", str(DATA_DIR), "--out-dir", str(out_dir), "--format", "json"])
         doc = json.loads((out_dir / "R1.json").read_text(encoding="utf-8"))
         assert doc["expected_result_display"] == "0.548"
+
+
+# Runs `main` on argv[4:] with a hook that, once student R2's report is
+# written, makes at argv[1] what argv[3] names: a symlink or a hard link to
+# argv[2], a FIFO, or ("swap") a symlink to argv[2] in place of the --out-dir
+# argv[1], which is moved aside to argv[1] + ".old".
+PLANT_AFTER_GUARD = """
+import os, sys
+from roughmap import fileio
+from roughmap.cli import main
+
+path, target, kind = sys.argv[1:4]
+graded, calls = fileio._graded, []
+
+def planting(*args):
+    calls.append(args)
+    if len(calls) == 3:
+        if kind == "swap":
+            os.rename(path, path + ".old")
+        if kind == "fifo":
+            os.mkfifo(path)
+        elif kind == "hardlink":
+            os.link(target, path)
+        else:
+            os.symlink(target, path)
+    return graded(*args)
+
+fileio._graded = planting
+sys.exit(main(sys.argv[4:]))
+"""
+
+
+class TestPlantedAfterGuard:
+    """An entry planted in --out-dir after the output guard, before its
+    output is written, is refused as the guard refuses it; nothing is
+    written through it, and every file outside --out-dir keeps its bytes."""
+
+    @staticmethod
+    def run(tmp_path, path, target, kind):
+        """`batch` of three students, R1 to R3, with the hook above."""
+        argv = ["batch", "--teacher", str(tmp_path / "teacher_map.json"),
+                "--roster", str(tmp_path / "roster.csv"), "--out-dir", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        return subprocess.run([sys.executable, "-c", PLANT_AFTER_GUARD, str(path), str(target),
+                               kind, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """The teacher map, the roster and a file that is not an input, by bytes."""
+        (tmp_path / "teacher_map.json").write_bytes((DATA_DIR / "teacher_map.json").read_bytes())
+        write_roster(tmp_path / "roster.csv",
+                     [(f"R{i}", "a", "d", "s", "sub", STUDENT) for i in (1, 2, 3)])
+        (tmp_path / "victim.txt").write_bytes(b"victim\n")
+        return file_bytes(tmp_path)
+
+    @pytest.mark.parametrize("kind, refusal", [
+        ("symlink", "would write through symlink"), ("hardlink", "would write through hard link"),
+        ("fifo", "would write over a non-regular file")])
+    @pytest.mark.parametrize("output, who", [("R3.text", "register_no 'R3'"),
+                                             ("cohort_summary.csv", "cohort_summary.csv")])
+    def test_entry(self, tmp_path, inputs, kind, refusal, output, who):
+        """A symlink to a file outside --out-dir, a hard link to the teacher
+        map, or a FIFO with no reader."""
+        out_dir = tmp_path / "out"
+        target = tmp_path / ("teacher_map.json" if kind == "hardlink" else "victim.txt")
+        proc = self.run(tmp_path, out_dir / output, target, kind)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: {tmp_path / 'roster.csv'}: {who} {refusal} {out_dir / output}\n")
+        assert {path: data for path, data in file_bytes(tmp_path).items()
+                if out_dir not in path.parents} == inputs
+        written = ["R1.text", "R2.text", "R3.text"][:2 if output == "R3.text" else 3]
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted([*written, output])
+        golden = (GOLDEN_DIR / "sample_report.txt").read_bytes()
+        assert all((out_dir / name).read_bytes() == golden for name in written)
+
+    def test_out_dir_swapped_for_a_symlink(self, tmp_path, inputs):
+        """The run writes on in the directory it opened, under its new name."""
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        proc = self.run(tmp_path, tmp_path / "out", elsewhere, "swap")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert list(elsewhere.iterdir()) == []
+        names = sorted(path.name for path in (tmp_path / "out.old").iterdir())
+        assert names == ["R1.text", "R2.text", "R3.text", "cohort_summary.csv"]
+
+
+def test_rewrite_over_longer_outputs(tmp_path):
+    """Reports and a summary longer than the new ones are rewritten in place
+    to the bytes of a run into an empty --out-dir."""
+    argv = ["batch", "--teacher", TEACHER, "--roster", ROSTER, "--maps-dir", str(DATA_DIR),
+            "--format", "json", "--out-dir"]
+    assert main([*argv, str(tmp_path / "clean")]) == 0
+    clean = {path.name: path.read_bytes() for path in (tmp_path / "clean").iterdir()}
+    (tmp_path / "out").mkdir()
+    for name, data in clean.items():
+        (tmp_path / "out" / name).write_bytes(data * 3)
+    assert main([*argv, str(tmp_path / "out")]) == 0
+    assert {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()} == clean
 
 
 class TestOnePerStudentPath:

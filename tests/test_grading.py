@@ -8,14 +8,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import reference
 import strategies
 from roughmap.analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, ImportanceRecord, analyze
 from roughmap.conceptmap import integrate, validate_map
 from roughmap.errors import PercentRangeError, ReportFormatError, ValidationError
 from roughmap.grading import (
-    EXPECTED_RESULT_PLACES,
     GRADE_BANDS,
-    PlanStep,
     RemediationPlan,
     assign_grade,
     format_fraction,
@@ -31,53 +30,6 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 def _rec(node: str, overlap: int, child_count: int, level: int = 1) -> ImportanceRecord:
     return ImportanceRecord(node=node, level=level, child_count=child_count,
                             overlap=overlap, alpha=Fraction(overlap, child_count))
-
-
-def reference_doc(result, graded, plan) -> dict:
-    """The JSON report as a document: ``json.dumps(reference_doc(...),
-    indent=2) + "\\n"`` is the reference for the fixed-shape JSON writer."""
-    return {
-        "regions": [
-            {"level": r.level, "pos": list(r.pos), "neg": list(r.neg), "bnd": list(r.bnd)}
-            for r in result.regions
-        ],
-        "records": [
-            {
-                "node": rec.node,
-                "level": rec.level,
-                "child_count": rec.child_count,
-                "overlap": rec.overlap,
-                "alpha": str(rec.alpha),
-                "alpha_display": format_fraction(rec.alpha, 2),
-            }
-            for rec in result.records
-        ],
-        "total": str(result.total),
-        "expected_result": str(result.expected_result),
-        "expected_result_display": format_fraction(result.expected_result,
-                                                   EXPECTED_RESULT_PLACES),
-        "graded": [
-            {
-                "node": g.node,
-                "expected_percent": g.expected_percent,
-                "actual_percent": g.actual_percent,
-                "grade": g.grade,
-            }
-            for g in graded
-        ],
-        "plan": {
-            "order": plan.order,
-            "steps": [
-                {"node": s.node, "alpha": str(s.alpha),
-                 "alpha_display": format_fraction(s.alpha, 2)}
-                for s in plan.steps
-            ],
-        },
-    }
-
-
-def reference_json(result, graded, plan) -> str:
-    return json.dumps(reference_doc(result, graded, plan), indent=2) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -173,11 +125,8 @@ class TestRemediationSequence:
         records tie on alpha and fall back to the node id; degrees with large
         denominators lie close together, so an inexact key misorders them."""
         records = [_rec(node, p, q) for node, (p, q) in degrees.items()]
-        pending = [r for r in records if r.alpha < 1]
-        for order, key in (("asc", lambda r: (r.alpha, r.node)),
-                           ("desc", lambda r: (-r.alpha, r.node))):
-            expected = tuple(PlanStep(r.node, r.alpha) for r in sorted(pending, key=key))
-            assert remediation_sequence(records, order).steps == expected
+        for order in ("asc", "desc"):
+            assert remediation_sequence(records, order) == reference.plan(records, order)
 
 
 class TestFormatFraction:
@@ -230,7 +179,7 @@ class TestRenderReport:
         text_doc = render_report(empty, (), plan, "text")
         assert "BND set" in text_doc
         json_text = render_report(empty, (), plan, "json")
-        assert json_text == reference_json(empty, (), plan)
+        assert json_text == reference.json_text(empty, (), plan)
         json_doc = json.loads(json_text)
         assert json_doc["records"] == [] and json_doc["graded"] == []
 
@@ -259,4 +208,4 @@ def test_json_writer_matches_json_dumps(pair, data):
                                                                              ALL_LEVELS])))
     graded = grade_records(result.records)
     plan = remediation_sequence(result.records, data.draw(st.sampled_from(["asc", "desc"])))
-    assert render_report(result, graded, plan, "json") == reference_json(result, graded, plan)
+    assert render_report(result, graded, plan, "json") == reference.json_text(result, graded, plan)

@@ -1,18 +1,14 @@
 """Differential and fuzz tests for map ingest: parse, validate, integrate.
 
-The ``reference_*`` functions are the per-entry, per-node implementations
-the columnar ingest replaced, kept as the oracle: on every input both sides
-must return the same nodes and levels, or raise the same exception type with
-the same message.
+On every input the columnar ingest and the per-entry, per-node reference
+(`reference.py`) must return the same nodes and levels, or raise the same
+exception type with the same message.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import defaultdict, deque
-from itertools import repeat
-from operator import eq
 from unittest.mock import ANY
 
 import hypothesis.strategies as st
@@ -20,171 +16,15 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import DATA_DIR, levels_of
-from roughmap.conceptmap import (
-    ConceptMap,
-    IntegratedMap,
-    MapNode,
-    NodeColor,
-    _walk_depths,
-    integrate,
-    validate_map,
-)
-from roughmap.errors import (
-    CycleError,
-    DuplicateNodeError,
-    MapFileParseError,
-    RootCountError,
-    RootMismatchError,
-    RoughMapError,
-    UnknownParentError,
-    ValidationError,
-)
+import reference
 from roughmap import fileio
-from roughmap.analysis import analyze, level_regions
+from roughmap.analysis import analyze
 from roughmap.cli import main
+from roughmap.conceptmap import (
+    ConceptMap, IntegratedMap, MapNode, _walk_depths, integrate, validate_map)
+from roughmap.errors import CycleError, DuplicateNodeError, MapFileParseError, RoughMapError
 from roughmap.fileio import parse_concept_map
-from roughmap.roughset import ApproximationSpace, _block_membership, rough_membership
 from strategies import concept_maps, teacher_student_pairs
-
-
-def reference_levels(pairs) -> dict:
-    """Breadth-first level assignment from the last root listed."""
-    children: dict = {}
-    root = None
-    for nid, parent in pairs:
-        children.setdefault(nid, [])
-        if parent is None:
-            root = nid
-        else:
-            children.setdefault(parent, []).append(nid)
-    levels = {root: 0}
-    queue = deque([root])
-    while queue:
-        current = queue.popleft()
-        for child in children[current]:
-            levels[child] = levels[current] + 1
-            queue.append(child)
-    return levels
-
-
-def reference_validate(nodes) -> tuple:
-    """(nodes as (id, parent, phrase) tuples, levels) of a valid map."""
-    normalized = [(*n, None) if len(n) == 2 else tuple(n) for n in nodes]
-    if not normalized:
-        raise RootCountError("map has no nodes")
-    ids: set = set()
-    for nid, _, _ in normalized:
-        if nid in ids:
-            raise DuplicateNodeError(f"duplicate node id: {nid!r}")
-        ids.add(nid)
-    for nid, parent, _ in normalized:
-        if parent is not None and parent not in ids:
-            raise UnknownParentError(f"node {nid!r} references unknown parent {parent!r}")
-    parent_of = {nid: parent for nid, parent, _ in normalized}
-    resolved: set = set()
-    for nid, _, _ in normalized:
-        path: list = []
-        on_path: set = set()
-        current = nid
-        while current is not None and current not in resolved:
-            if current in on_path:
-                cycle = path[path.index(current):] + [current]
-                raise CycleError("cycle among nodes: " + " -> ".join(cycle))
-            on_path.add(current)
-            path.append(current)
-            current = parent_of[current]
-        resolved.update(path)
-    roots = [nid for nid, parent, _ in normalized if parent is None]
-    if not roots:
-        raise RootCountError("map has no root node")
-    if len(roots) > 1:
-        raise RootCountError(f"multiple root nodes: {roots}")
-    return tuple(normalized), reference_levels((nid, parent) for nid, parent, _ in normalized)
-
-
-def reference_parse(text: str, source: str = "<string>") -> tuple:
-    """(subject, nodes, levels) of a JSON map, checked entry by entry."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MapFileParseError(
-            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
-        raise MapFileParseError(f"{source}: expected an object with a 'nodes' array")
-    subject = doc.get("subject", "untitled")
-    if not isinstance(subject, str):
-        raise MapFileParseError(f"{source}: 'subject' must be a string")
-    nodes = []
-    for i, entry in enumerate(doc["nodes"]):
-        if not isinstance(entry, dict) or "id" not in entry or "parent" not in entry:
-            raise MapFileParseError(f"{source}: nodes[{i}] must be an object with 'id' and 'parent'")
-        nid, parent, phrase = entry["id"], entry["parent"], entry.get("phrase")
-        if not isinstance(nid, str):
-            raise MapFileParseError(f"{source}: nodes[{i}].id must be a string")
-        if parent is not None and not isinstance(parent, str):
-            raise MapFileParseError(f"{source}: nodes[{i}].parent must be a string or null")
-        if phrase is not None and not isinstance(phrase, str):
-            raise MapFileParseError(f"{source}: nodes[{i}].phrase must be a string")
-        nodes.append((nid, parent, phrase))
-    try:
-        return (subject, *reference_validate(nodes))
-    except ValidationError as exc:
-        raise type(exc)(f"{source}: {exc}") from exc
-
-
-def reference_integrate(teacher, student) -> tuple:
-    """Integrated (id, parent, level, color) rows of two (id, parent) lists,
-    each validated first: the teacher's failure, then the student's, wins."""
-    reference_validate(teacher)
-    reference_validate(student)
-    teacher_root = next(nid for nid, parent in teacher if parent is None)
-    student_root = next(nid for nid, parent in student if parent is None)
-    if teacher_root != student_root:
-        raise RootMismatchError(
-            f"root ids differ: teacher {teacher_root!r}, student {student_root!r}"
-        )
-    student_parent = dict(student)
-    teacher_ids = {nid for nid, _ in teacher}
-    merged = []
-    for nid, parent in teacher:
-        if parent is None:
-            merged.append((nid, None, None))
-            continue
-        consistent = nid in student_parent and student_parent[nid] == parent
-        merged.append((nid, parent, NodeColor.GREEN if consistent else NodeColor.RED))
-    merged += [(nid, parent, NodeColor.GREEN) for nid, parent in student if nid not in teacher_ids]
-    levels = reference_levels((nid, parent) for nid, parent, _ in merged)
-    return tuple((nid, parent, levels[nid], color) for nid, parent, color in merged)
-
-
-def reference_colors(teacher, student, extras: int) -> tuple:
-    """The colour column mapped column-wise: a teacher node is green when the
-    student has it under the same parent, the root has none, and the
-    `extras` student-only nodes that follow are green."""
-    colors = list(map((NodeColor.RED, NodeColor.GREEN).__getitem__,
-                      map(eq, map(student.parent_of.get, teacher.ids), teacher.parents)))
-    colors[teacher.parents.index(None)] = None
-    colors.extend(repeat(NodeColor.GREEN, extras))
-    return tuple(colors)
-
-
-def reference_by_level(imap) -> tuple:
-    """Per level, in node order: green ids, red ids, and the ids grouped
-    under their parents, from a second pass over an integrated map's
-    columns; the root is red, under None."""
-    size = max(imap.levels) + 1
-    pos, neg = [[] for _ in range(size)], [[] for _ in range(size)]
-    blocks = [defaultdict(list) for _ in range(size)]
-    for nid, parent, level, color in zip(imap.ids, imap.parents, imap.levels, imap.colors):
-        (pos if color is NodeColor.GREEN else neg)[level].append(nid)
-        blocks[level][parent].append(nid)
-    return pos, neg, blocks
-
-
-def reference_membership(blocks, green) -> tuple:
-    """(green children, children) per block, through the checked space."""
-    return rough_membership(ApproximationSpace.from_blocks(blocks), green)
 
 
 def every_level(by_level) -> tuple:
@@ -305,7 +145,7 @@ class TestAgainstReference:
             cmap = parse_concept_map(text.encode())
             return cmap.subject, tuple(cmap.nodes), levels_of(cmap)
 
-        assert outcome(parse, text) == outcome(reference_parse, text)
+        assert outcome(parse, text) == outcome(reference.parse, text)
 
     @settings(max_examples=400, deadline=None)
     @given(node_lists())
@@ -323,7 +163,7 @@ class TestAgainstReference:
             cmap = validate_map(nodes)
             return tuple(cmap.nodes), levels_of(cmap)
 
-        assert outcome(validate, nodes) == outcome(reference_validate, nodes)
+        assert outcome(validate, nodes) == outcome(reference.validate, nodes)
 
     @settings(max_examples=400, deadline=None)
     @given(map_pairs(), st.booleans(), st.booleans())
@@ -336,7 +176,7 @@ class TestAgainstReference:
         teacher, student = pair
         got = outcome(lambda: tuple(integrate(as_map(teacher, teacher_by_hand),
                                               as_map(student, student_by_hand)).nodes))
-        assert got == outcome(reference_integrate, teacher, student)
+        assert got == outcome(reference.integrate, teacher, student)
 
 
 def described(imap) -> tuple:
@@ -367,7 +207,7 @@ class TestCarriedDepths:
         for made, checked in zip(by_hand, pair):
             assert (made.depth, made.parent_of) == (checked.depth, checked.parent_of)
         assert validate_map(by_hand[0]) is by_hand[0]
-        rows = reference_integrate(*([(n.id, n.parent) for n in m.nodes] for m in pair))
+        rows = reference.integrate(*([(n.id, n.parent) for n in m.nodes] for m in pair))
         children = {nid: tuple(c for c, p, _, _ in rows if p == nid) for nid, _, _, _ in rows}
         expected = (rows, children, max(level for _, _, level, _ in rows))
         assert described(integrate(*pair)) == expected
@@ -409,8 +249,8 @@ class TestCarriedDepths:
 
 
 class TestOnePass:
-    """The colour-and-level pass of `integrate` against the references, and
-    the unchecked membership count of `analyze` against the checked one."""
+    """The colour-and-level pass of `integrate`, its buckets, and `analyze`
+    over them, against the reference."""
 
     @settings(max_examples=300, deadline=None)
     @given(teacher_student_pairs(max_nodes=15, max_extras=6), st.data())
@@ -422,20 +262,12 @@ class TestOnePass:
                             if data.draw(st.booleans(), label="by hand") else m
                             for m in (teacher, student))
         imap = integrate(teacher, student)
-        rows = reference_integrate(*([(n.id, n.parent) for n in m.nodes] for m in (teacher, student)))
-        assert imap.levels == tuple(level for _, _, level, _ in rows)
-        assert imap.colors == reference_colors(teacher, student, len(imap.ids) - len(teacher.ids))
-        assert ordered(imap._by_level) == ordered(reference_by_level(imap))
+        rows = reference.integrate(*([(n.id, n.parent) for n in m.nodes] for m in (teacher, student)))
+        assert (imap.ids, imap.parents, imap.levels, imap.colors) == tuple(zip(*rows))
+        assert ordered(imap._by_level) == ordered(reference.by_level(rows))
         assert imap.max_level == max(imap.levels)
-        pos, _, blocks = reference_by_level(imap)
-        regions = level_regions(imap)
-        for chosen, levels in ((regions[:1], "deepest"), (regions, "all")):
-            level_blocks = [kids for reg in chosen for kids in blocks[reg.level].values()]
-            green = [nid for reg in chosen for nid in pos[reg.level]]
-            expected = reference_membership(level_blocks, green)
-            assert _block_membership(level_blocks, green) == expected
-            records = analyze(imap, levels).records
-            assert [(r.overlap, r.child_count) for r in records] == list(expected)
+        for levels in ("deepest", "all"):
+            assert analyze(imap, levels) == reference.analyze(rows, levels)
 
     @settings(max_examples=200, deadline=None)
     @given(teacher_student_pairs(max_nodes=15, max_extras=6))
@@ -448,7 +280,7 @@ class TestOnePass:
         names = ("subject", "ids", "parents", "levels", "colors")
         columns = [getattr(imap, name) for name in names]
         root = imap.ids[imap.parents.index(None)]
-        expected = every_level(reference_by_level(imap))
+        expected = every_level(reference.by_level(imap.nodes))
         assert expected[1][0] == [root] and expected[2][0] == [(None, [root])]
         assert every_level(imap._by_level) == expected
         for other in (IntegratedMap(*columns), IntegratedMap(**dict(zip(names, columns)))):
@@ -530,6 +362,6 @@ class TestScaling:
         started = time.perf_counter()
         got = outcome(validate_map, nodes)
         elapsed = time.perf_counter() - started
-        assert got == outcome(reference_validate, nodes)
+        assert got == outcome(reference.validate, nodes)
         assert got[:2] == ("raised", CycleError)
         assert elapsed <= 2.0, f"validate took {elapsed:.2f}s"

@@ -1,5 +1,5 @@
-"""Rough-set operations against frozen worked values and a brute-force,
-per-definition oracle."""
+"""Rough-set operations against frozen worked values and the brute-force,
+per-definition approximations of `reference.py`."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+import reference
 from roughmap.errors import InvalidSubsetError, UnknownAttributeError
 from roughmap.roughset import (
     ApproximationSpace,
@@ -24,27 +25,6 @@ from roughmap.roughset import (
 )
 
 
-# Oracle: test every block directly against the definitions.  Kept free of
-# any package helper so it stays an independent check.
-
-def naive_lower(blocks, a):
-    a = set(a)
-    out = set()
-    for block in blocks:
-        if set(block) <= a:
-            out |= set(block)
-    return out
-
-
-def naive_upper(blocks, a):
-    a = set(a)
-    out = set()
-    for block in blocks:
-        if set(block) & a:
-            out |= set(block)
-    return out
-
-
 BLOCKS = (("x1", "x2"), ("x3", "x4"), ("x5", "x6"))
 SPACE = ApproximationSpace.from_blocks(BLOCKS)
 A = {"x1", "x2", "x3"}
@@ -53,9 +33,9 @@ ALL = set(SPACE.universe.elements)
 
 class TestLowerApproximation:
     def test_worked_example(self):
-        # frozen from naive_lower(BLOCKS, A) == {x1, x2}
+        # frozen from reference.lower(BLOCKS, A) == {x1, x2}
         assert lower_approximation(SPACE, A) == ("x1", "x2")
-        assert set(lower_approximation(SPACE, A)) == naive_lower(BLOCKS, A)
+        assert set(lower_approximation(SPACE, A)) == reference.lower(BLOCKS, A)
 
     def test_empty_subset(self):
         assert lower_approximation(SPACE, set()) == ()
@@ -70,9 +50,9 @@ class TestLowerApproximation:
 
 class TestUpperApproximation:
     def test_worked_example(self):
-        # frozen from naive_upper(BLOCKS, A) == {x1, x2, x3, x4}
+        # frozen from reference.upper(BLOCKS, A) == {x1, x2, x3, x4}
         assert upper_approximation(SPACE, A) == ("x1", "x2", "x3", "x4")
-        assert set(upper_approximation(SPACE, A)) == naive_upper(BLOCKS, A)
+        assert set(upper_approximation(SPACE, A)) == reference.upper(BLOCKS, A)
 
     def test_empty_subset(self):
         assert upper_approximation(SPACE, set()) == ()
@@ -174,8 +154,8 @@ def test_random_spaces_match_oracle():
         block_tuples = [tuple(b) for b in blocks.values()]
         space = ApproximationSpace.from_blocks(block_tuples)
         subset = {e for e in elements if rng.random() < 0.5}
-        lo = naive_lower(block_tuples, subset)
-        up = naive_upper(block_tuples, subset)
+        lo = reference.lower(block_tuples, subset)
+        up = reference.upper(block_tuples, subset)
         assert set(lower_approximation(space, subset)) == lo
         assert set(upper_approximation(space, subset)) == up
         assert set(boundary(space, subset)) == up - lo
@@ -218,6 +198,7 @@ class TestIndiscernibility:
             table = DecisionTable.from_rows(rows, attrs)
             chosen = {a for a in attrs if rng.random() < 0.6}
             part = indiscernibility(table, chosen)
+            assert part.element_set == table.objects.element_set
             same = lambda x, y: all(rows[x][attrs.index(a)] == rows[y][attrs.index(a)] for a in chosen)
             for x, y in itertools.combinations(rows, 2):
                 together = any(x in b and y in b for b in part.blocks)
