@@ -14,7 +14,7 @@ skipped.  Exit statuses: 0 success, 1 validation/analysis error, 2 I/O or
 parse error or memory exhausted, 130 interrupted (Ctrl-C), 143 terminated
 (SIGTERM); a fault prints one ``error:`` line on stderr.
 
-`_read` is the one way an input file is read: it must be a regular file.
+`_read` is the one way an input file is read, from one open of a regular file.
 `analyze` and `batch` run the same steps in the same order.  Both check the
 knobs before they read anything.  `_prepared` then makes ``--out-dir``, so
 that the output guard sees the names in it, and refuses (exit 2) an output
@@ -22,8 +22,8 @@ that is an input (``<who> would overwrite input <path>``), a report named
 cohort_summary.csv (``<who> would overwrite cohort_summary.csv``) or, in
 ``--out-dir``, a symlink, a file that is not a regular file (a FIFO's write
 would block) or a hard link, and last any output whose stat fails but not as
-"no such file" (a long name, an ``--out-dir`` that is a file), where ``<who>``
-is ``--out X``, ``<roster>: register_no 'R'`` or ``<roster>:
+"no such file" (a long name, a NUL, an ``--out-dir`` that is a file), ``<who>``
+being ``--out X``, ``<roster>: register_no 'R'`` or ``<roster>:
 cohort_summary.csv``; that last refusal, and a failed write, give ``<who>
 could not be written: <reason>``.  It then reads the teacher map; a refusal
 up to there removes the directories it made.  `_graded` then grades one
@@ -108,6 +108,7 @@ _PARTIAL = frozenset((errno.EFBIG, errno.ENOSPC, errno.EDQUOT))
 # Opening an ``--out-dir`` output: no symlink is followed, no FIFO blocks, nothing is cut.
 _CHECKED_OPEN = os.O_WRONLY | os.O_CREAT | os.O_NOFOLLOW | os.O_NONBLOCK | os.O_CLOEXEC
 _OPEN_DIR = os.O_RDONLY | os.O_DIRECTORY | os.O_CLOEXEC
+_NOT_A_FILE = frozenset((errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO))  # as is_file reads
 # A path separator or a control character (Unicode category Cc).
 _UNSAFE_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]").search
 
@@ -169,9 +170,19 @@ def parse_concept_map(data: bytes, source: str = "<string>") -> ConceptMap:
 
 
 def _read(path: str | Path) -> bytes:
-    if not Path(path).is_file():  # a FIFO's or a device's read could block or never end
-        raise OSError(f"{path}: missing or not a regular file")
-    return Path(path).read_bytes()
+    try:  # not blocking: a FIFO's or a device's read could block or never end
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_CLOEXEC)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        if isinstance(exc, OSError) and exc.errno not in _NOT_A_FILE:
+            raise
+    else:
+        try:
+            if S_ISREG(os.fstat(fd).st_mode):  # the file checked is the file read
+                with open(fd, "rb", buffering=0, closefd=False) as file:
+                    return file.readall()
+        finally:
+            os.close(fd)
+    raise OSError(f"{path}: missing or not a regular file")
 
 
 def parse_concept_map_file(path: str | Path) -> ConceptMap:
@@ -212,6 +223,8 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
             if register_no in (".", "..") or _UNSAFE_CHAR(register_no):
                 raise RosterSchemaError(
                     f"{path}: line {lineno}: register_no {register_no!r} is not a safe file name")
+            if "\0" in row[columns[-1]]:
+                raise RosterSchemaError(f"{path}: line {lineno}: map_path holds a NUL character")
             if register_no in records:
                 raise DuplicateRegisterError(f"{path}: duplicate register_no {register_no!r}")
             records[register_no] = RosterRecord(register_no, *map(row.__getitem__, columns[1:]))
@@ -332,6 +345,8 @@ def _stat(path: Path, follow_symlinks: bool = True,
           absent: type[OSError] = OSError) -> os.stat_result | OSError | None:
     try:
         return path.stat(follow_symlinks=follow_symlinks)
+    except ValueError:  # a NUL, which no file name holds
+        return None if absent is OSError else OSError(errno.EINVAL, "path holds a NUL character")
     except OSError as exc:  # `absent` is "no such file": nothing to overwrite or to read
         return None if isinstance(exc, absent) else exc
 
@@ -346,7 +361,7 @@ def _make_dir(path: Path) -> list[Path]:
     """Make the directory `path` with its missing parents and return the ones
     made, deepest first.  An error is left to the output guard's stat."""
     made = list(takewhile(lambda p: _stat(p, follow_symlinks=False) is None, (path, *path.parents)))
-    with suppress(OSError):
+    with suppress(OSError, ValueError):
         path.mkdir(parents=True, exist_ok=True)
     return made
 
@@ -392,7 +407,7 @@ def _prepared(teacher_map_path: str, read: Sequence[Path], outputs: Sequence[tup
         return teacher, None if out_dir is None else os.open(out_dir, _OPEN_DIR)
     except BaseException:
         for path in made:  # a run refused before any write leaves no directory it made
-            with suppress(OSError):
+            with suppress(OSError, ValueError):
                 path.rmdir()
         raise
 
