@@ -269,6 +269,9 @@ def _exit_status(run: Callable[[], object]) -> int:
             signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
         if collecting:
             gc.enable()
+    # A control character (category Cc: U+0000-U+001F, U+007F-U+009F) or a line break that
+    # str.splitlines knows is written as its Python escape, so the line stays one line.
+    reason = re.sub("[\x00-\x1f\x7f-\x9f\u2028\u2029]", lambda m: repr(m[0])[1:-1], reason)
     with suppress(OSError):  # with no stderr to tell it, the status still does
         _put(sys.stderr, "stderr", f"error: {reason}\n")
     return status
@@ -335,10 +338,10 @@ def _put(stream: TextIO | None, name: str, text: str) -> None:
     except UnicodeEncodeError as exc:  # raised before any of `text` is written
         bad = exc.object[exc.start:exc.end]
         raise OSError(f"{name} cannot encode {bad!r} as {exc.encoding}") from None
-    except OSError:
+    except OSError as exc:
         with suppress(OSError):
             stream.close()
-        raise
+        raise _unwritable(name, exc) from None
 
 
 def _stat(path: Path, follow_symlinks: bool = True,

@@ -166,10 +166,12 @@ FAULT_MATRIX = {
     "stderr-closed": (["validate", "absent.json"], INPUTS, {"stderr": "closed"}, 2, ""),
     "both-closed": (ANALYZE, INPUTS, {"stdout": "closed", "stderr": "closed"}, 2, ""),
     "stderr-fails": (["validate", "absent.json"], INPUTS, {"stderr": "read-only"}, 2, ""),
-    "stdout-full": (ANALYZE, INPUTS, {"stdout": "full"}, 2, "[Errno 28] No space left on device"),
+    "stdout-full": (ANALYZE, INPUTS, {"stdout": "full"}, 2,
+                    "stdout could not be written: No space left on device"),
     "validate-stdout-full": (VALIDATE, INPUTS, {"stdout": "full"}, 2,
-                             "[Errno 28] No space left on device"),
-    "stdout-pipe-closed": (ANALYZE, INPUTS, {"stdout": "broken"}, 2, "[Errno 32] Broken pipe"),
+                             "stdout could not be written: No space left on device"),
+    "stdout-pipe-closed": (ANALYZE, INPUTS, {"stdout": "broken"}, 2,
+                           "stdout could not be written: Broken pipe"),
     # A stdout whose encoding cannot hold the text (an id and a file name with Ü) takes nothing.
     "test_stdout_that_cannot_encode_exits_2[analyze]": (
         ["analyze", "--teacher", "Ü.json", "--student", "Ü.json"], {"Ü.json": UMLAUT},
@@ -194,8 +196,12 @@ FAULT_MATRIX = {
     "TestAnalyzeCommand::test_out_that_cannot_be_written[no-parent]": (
         [*ANALYZE, "--out", "nodir/x.txt"], INPUTS, {}, 2,
         "--out nodir/x.txt could not be written: No such file or directory"),
+    # A control character or line break in a line is written as its Python escape.
     "out-nul": ([*ANALYZE, "--out", "out\0x"], INPUTS, {}, 2,
-                "--out out\0x could not be written: path holds a NUL character"),
+                "--out out\\x00x could not be written: path holds a NUL character"),
+    "out-carriage-return": ([*ANALYZE, "--out", "nodir/a\rb.txt"], INPUTS, {}, 2,
+                            "--out nodir/a\\rb.txt could not be written: "
+                            "No such file or directory"),
     # Cut short at the file size limit: the partial file is removed, but never a link.
     "TestBatchCommand::test_write_cut_short_leaves_no_partial_report[analyze]": (
         [*ANALYZE, "--format", "json", "--out", "r.json"], INPUTS, FSIZE, 2,
@@ -311,10 +317,13 @@ FAULT_MATRIX = {
     f"{FIFO_TEST}[batch-student]": "student-fifo",
     f"{FIFO_TEST}[batch-roster]": "roster-fifo",
     f"{FIFO_TEST}[validate-map]": "validate-fifo",
-    "teacher-nul": unread(swap(ANALYZE, "teacher.json", "t\0.json"), INPUTS, "t\0.json"),
-    "validate-nul": unread(["validate", "t\0.json"], INPUTS, "t\0.json"),
+    "teacher-nul": unread(swap(ANALYZE, "teacher.json", "t\0.json"), INPUTS, "t\\x00.json"),
+    "validate-nul": unread(["validate", "t\0.json"], INPUTS, "t\\x00.json"),
     "maps-dir-nul": unread([*BATCH, "--maps-dir", "m\0"], {**INPUTS, "out": MADE},
-                           "m\0/student.json", "student CSE001: "),
+                           "m\\x00/student.json", "student CSE001: "),
+    "validate-newline": unread(["validate", "no\nsuch.json"], INPUTS, "no\\nsuch.json"),
+    "validate-line-separator": unread(["validate", "no\u2028such.json"], INPUTS,
+                                      "no\\u2028such.json"),
     # Map files that are malformed (exit 2) or invalid (exit 1).
     **map_rows("deep", b"[" * 100_000, 2, "JSON nested too deeply"),
     **map_rows("utf16", b"\xff\xfe" + '{"nodes": []}'.encode("utf-16-le"), 2,
