@@ -11,6 +11,8 @@ import compileall
 import json
 import os
 import platform
+import random
+import re
 import shutil
 import subprocess
 import sys
@@ -23,6 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 COLD = {"name": "cold_start_ms", "better": "lower", "bound": None}
 GIT = ["git", "-C", str(ROOT)]
+# run.py's line of uncorrected figures: "raw (uncorrected): students_per_s 1.0, setup_s 2.0"
+RAW = re.compile(r"^raw \(uncorrected\): (.*)$", re.M)
 
 
 def run(command: list[str], what: str, tree: Path = ROOT) -> tuple[str, float]:
@@ -33,6 +37,22 @@ def run(command: list[str], what: str, tree: Path = ROOT) -> tuple[str, float]:
     if done.returncode:
         sys.exit(f"ab.py: {what} exited {done.returncode}: {done.stderr.strip()!r:.200}")
     return done.stdout, (perf_counter() - start) * 1000
+
+
+def raw_figures(stdout: str) -> dict[str, float]:
+    """The figures of run.py's uncorrected line in `stdout`, as ``raw.<metric>`` -> value."""
+    line = RAW.search(stdout)
+    return {f"raw.{name}": float(value) for name, value in
+            (figure.split() for figure in line[1].split(", "))} if line else {}
+
+
+def side_orders(pairs: int) -> list[tuple[str, str]]:
+    """Which side runs first in each pair: half the pairs OLD first, half NEW first (the odd
+    pair either way), shuffled anew each campaign, so no host rhythm favours one side in every
+    campaign.  The JSON line records the order."""
+    orders = [("old", "new"), ("new", "old")] * ((pairs + 1) // 2)
+    random.shuffle(orders)
+    return orders[:pairs]
 
 
 def side(commit: str, tree: Path, seed: int, what: str) -> dict[str, dict[str, float]]:
@@ -49,17 +69,20 @@ def side(commit: str, tree: Path, seed: int, what: str) -> dict[str, dict[str, f
             run([sys.executable, "-c", "pass"], f"{what}: cold start", tree)[1] for _ in range(12)]
     runs = {"sample": {COLD["name"]: median(cold[1:])}}  # round 1 warms the cache
     for workload in (w["name"] for w in BENCH["workloads"]):
-        result = json.loads(run([*BENCH["command"], "--workload", workload, "--seed", str(seed),
-                                 "--seconds", str(BENCH["run_seconds"])], f"{what}: {workload}",
-                                tree)[0].splitlines()[-1])
+        stdout = run([*BENCH["command"], "--workload", workload, "--seed", str(seed),
+                      "--seconds", str(BENCH["run_seconds"])], f"{what}: {workload}", tree)[0]
+        result = json.loads(stdout.splitlines()[-1])
         if result["correct"] is not True:
             sys.exit(f"ab.py: {what}: {workload}: not correct, {result['failed']} failed")
-        runs[workload] = {name: metric["value"] for name, metric in result["metrics"].items()}
+        runs[workload] = {**{name: metric["value"] for name, metric in result["metrics"].items()},
+                          **raw_figures(stdout)}
     return runs
 
 
-def summary(commits: dict[str, str], seeds: list[int], runs: dict[str, list[dict]]) -> dict:
-    """The campaign as one record; its "rows" compare the sides on each workload's metrics."""
+def summary(commits: dict[str, str], seeds: list[int], orders: list[tuple[str, str]],
+            runs: dict[str, list[dict]]) -> dict:
+    """The campaign as one record; its "rows" compare the sides on each workload's corrected
+    metrics, and "orders" holds the side that ran first and second in each pair."""
     rows = []
     for workload, measured in runs["old"][0].items():
         for metric in (m for m in [*BENCH["end_to_end"], COLD] if m["name"] in measured):
@@ -73,7 +96,8 @@ def summary(commits: dict[str, str], seeds: list[int], runs: dict[str, list[dict
                          "worse": metric["bound"] is not None and loss > metric["bound"]})
     host = {"python": platform.python_version(), "platform": platform.platform(),
             "cpus": os.cpu_count()}
-    return {"commits": commits, "host": host, "seeds": seeds, "runs": runs, "rows": rows}
+    return {"commits": commits, "host": host, "seeds": seeds, "orders": [list(o) for o in orders],
+            "runs": runs, "rows": rows}
 
 
 def main() -> int:
@@ -87,12 +111,13 @@ def main() -> int:
                           f"git rev-parse {rev}")[0].strip()
                for label, rev in zip(("old", "new"), args.commits)}
     seeds, runs = list(range(1, args.pairs + 1)), {"old": [], "new": []}
-    for seed in seeds:  # both sides of a pair take one seed; OLD runs first in odd pairs
-        for label in ("old", "new") if seed % 2 else ("new", "old"):
+    orders = side_orders(args.pairs)
+    for seed, order in zip(seeds, orders):  # both sides of a pair take one seed
+        for label in order:
             with tempfile.TemporaryDirectory(prefix="ab-") as tree:
                 runs[label].append(side(commits[label], Path(tree), seed, f"pair {seed}, {label}"))
         print(f"pair {seed} of {args.pairs} done", flush=True)
-    record = summary(commits, seeds, runs)
+    record = summary(commits, seeds, orders, runs)
     print(f"OLD {commits['old']}, NEW {commits['new']}, {args.pairs} pairs, {record['host']}")
     print(f"{'workload':8} {'metric':15} {'OLD median [q1, q3]':>27} {'NEW median [q1, q3]':>27} "
           "NEW/OLD NEW won")

@@ -35,7 +35,7 @@ from operator import attrgetter, floordiv, mul, sub
 from typing import NamedTuple
 
 from .conceptmap import IntegratedMap, from_columns
-from .errors import NothingToAnalyzeError, ValidationError
+from .errors import ValidationError
 from .roughset import _block_membership
 
 __all__ = [
@@ -111,7 +111,7 @@ def level_regions(imap: IntegratedMap) -> tuple[LevelRegions, ...]:
     """
     top = imap.max_level
     if top < 1:
-        raise NothingToAnalyzeError("map has a single node, nothing to classify")
+        raise ValidationError("map has a single node, nothing to classify")
     # A level's boundary set is the parents its child blocks are keyed by.
     pos, neg, blocks = imap._by_level
     deepest_first = slice(top, 0, -1)

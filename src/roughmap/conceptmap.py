@@ -28,16 +28,7 @@ from itertools import filterfalse, repeat, starmap
 from operator import attrgetter, eq
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import (
-    CycleError,
-    DuplicateNodeError,
-    Frozen,
-    MapValidationError,
-    RootCountError,
-    RootMismatchError,
-    SubjectMismatchError,
-    UnknownParentError,
-)
+from .errors import Frozen, MapValidationError, UnknownParentError, ValidationError
 
 __all__ = [
     "NodeColor",
@@ -95,12 +86,12 @@ class ConceptMap(Frozen):
         ids, parents = self.ids, self.parents
         parent_of = dict(zip(ids, parents))
         if not ids:
-            raise RootCountError("map has no nodes")
+            raise MapValidationError("map has no nodes")
         if len(parent_of) != len(ids):
             seen: set[str] = set()
             for nid in ids:
                 if nid in seen:
-                    raise DuplicateNodeError(f"duplicate node id: {nid!r}")
+                    raise MapValidationError(f"duplicate node id: {nid!r}")
                 seen.add(nid)
         # The walk resolves every node only when no parent is unknown and there
         # is no cycle; only a node it leaves unresolved needs either check.
@@ -114,11 +105,11 @@ class ConceptMap(Frozen):
         # Cycles are checked before the root count: a rootless input such as
         # {A->B, B->A} is better reported as the cycle it actually contains.
         if cycle is not None:
-            raise CycleError("cycle among nodes: " + " -> ".join(cycle))
+            raise MapValidationError("cycle among nodes: " + " -> ".join(cycle))
         # Non-empty, unique ids, known parents and no cycle: there is a root.
         if parents.count(None) > 1:
             roots = [nid for nid, parent in zip(ids, parents) if parent is None]
-            raise RootCountError(f"multiple root nodes: {roots}")
+            raise MapValidationError(f"multiple root nodes: {roots}")
         del depth[None]
         self.__dict__.update(parent_of=parent_of, depth=depth)
 
@@ -254,9 +245,9 @@ def validate_map(nodes: Iterable | ConceptMap, subject: str | None = None) -> Co
     """A checked map of `nodes`: MapNode instances or (id, parent) /
     (id, parent, phrase) tuples, whose subject is `subject` or "untitled",
     or a ConceptMap, which comes back itself (the file parser's is checked
-    first).  Raises MapValidationError, DuplicateNodeError,
-    UnknownParentError, CycleError, or RootCountError; a ConceptMap given
-    with a `subject` other than its own raises ValueError.
+    first).  Raises MapValidationError, or its UnknownParentError for a
+    parent that is not in the map; a ConceptMap given with a `subject`
+    other than its own raises ValueError.
     """
     if not isinstance(nodes, ConceptMap):
         return ConceptMap("untitled" if subject is None else subject, nodes)
@@ -281,9 +272,9 @@ def integrate(teacher: ConceptMap, student: ConceptMap) -> IntegratedMap:
     student_parent = student.parent_of
     root, student_root = ids[parents.index(None)], student.ids[student.parents.index(None)]
     if root != student_root:
-        raise RootMismatchError(f"root ids differ: teacher {root!r}, student {student_root!r}")
+        raise ValidationError(f"root ids differ: teacher {root!r}, student {student_root!r}")
     if teacher.subject != student.subject and "untitled" not in (teacher.subject, student.subject):
-        raise SubjectMismatchError(
+        raise ValidationError(
             f"subjects differ: teacher {teacher.subject!r}, student {student.subject!r}")
     extra_ids = tuple(filterfalse(teacher.parent_of.__contains__, student.ids))
     extra_parents = tuple(map(student_parent.__getitem__, extra_ids))

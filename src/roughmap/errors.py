@@ -2,7 +2,8 @@
 
 Two branches matter to the command line: ValidationError (structurally bad
 data or a violated analysis precondition, exit status 1) and InputError
-(unreadable or malformed input files, exit status 2).
+(unreadable or malformed input files, exit status 2).  The message, not the
+class, names the fault.
 """
 
 
@@ -30,71 +31,9 @@ class InputError(RoughMapError):
     """Unreadable, malformed, or schema-violating input file."""
 
 
-# rough-set layer
-
-class InvalidSubsetError(ValidationError):
-    """Queried set contains elements outside the universe."""
-
-
-class UnknownAttributeError(ValidationError):
-    """Attribute selection names an attribute the table does not have."""
-
-
-# concept-map layer
-
 class MapValidationError(ValidationError):
     """Node collection does not form a valid rooted tree."""
 
 
-class DuplicateNodeError(MapValidationError):
-    pass
-
-
 class UnknownParentError(MapValidationError):
-    pass
-
-
-class CycleError(MapValidationError):
-    pass
-
-
-class RootCountError(MapValidationError):
-    pass
-
-
-class RootMismatchError(ValidationError):
-    """Teacher and student maps disagree on the root concept."""
-
-
-class SubjectMismatchError(ValidationError):
-    """Teacher and student maps name different subjects."""
-
-
-# analysis layer
-
-class NothingToAnalyzeError(ValidationError):
-    """Map consists of a single node, so no level can be classified."""
-
-
-# grading layer
-
-class PercentRangeError(ValidationError):
-    """Percentage outside the 0..100 range."""
-
-
-class ReportFormatError(ValidationError):
-    """Unknown report format name."""
-
-
-# file layer
-
-class MapFileParseError(InputError):
-    """Concept-map file is not well-formed JSON or misses required fields."""
-
-
-class RosterSchemaError(InputError):
-    """Roster CSV misses required columns or violates field constraints."""
-
-
-class DuplicateRegisterError(InputError):
-    """Two roster rows share a register number."""
+    """A node names a parent that is not in the map."""

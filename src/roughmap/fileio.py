@@ -60,13 +60,7 @@ from typing import Callable, NamedTuple, Sequence, TextIO
 
 from .analysis import DEEPEST_ONLY, AnalysisResult, _check_levels, analyze
 from .conceptmap import ConceptMap, _node_fault, integrate, validate_map
-from .errors import (
-    DuplicateRegisterError,
-    InputError,
-    MapFileParseError,
-    RosterSchemaError,
-    ValidationError,
-)
+from .errors import InputError, ValidationError
 from .grading import (
     ASCENDING,
     EXPECTED_RESULT_PLACES,
@@ -113,12 +107,12 @@ _NOT_A_FILE = frozenset((errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO))
 _UNSAFE_CHAR = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]").search
 
 
-def _utf8(data: bytes, source: str, error: type[InputError]) -> str:
+def _utf8(data: bytes, source: str) -> str:
     """`data` decoded as UTF-8, less one leading byte order mark."""
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise error(f"{source}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        raise InputError(f"{source}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
@@ -137,33 +131,33 @@ def _map_columns(entries: list, source: str) -> tuple[tuple, tuple, tuple]:
     phrases = tuple(map(dict.get, entries, repeat("phrase")))
     fault = _node_fault(ids, parents, phrases) or fault
     if fault is not None:
-        raise MapFileParseError(f"{source}: {fault}")
+        raise InputError(f"{source}: {fault}")
     return ids, parents, phrases
 
 
 def parse_concept_map(data: bytes, source: str = "<string>") -> ConceptMap:
     """Parse and validate the JSON concept-map format; every error names `source`."""
-    text = _utf8(data, source, MapFileParseError)
+    text = _utf8(data, source)
     nul = text.find("\0")  # JSON holds no raw NUL; ASCII in UTF-16 or UTF-32 is full of them
     if nul >= 0:
-        raise MapFileParseError(
+        raise InputError(
             f"{source}: NUL character at index {nul}: not UTF-8 JSON (UTF-16 or UTF-32?)")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MapFileParseError(
+        raise InputError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError as exc:
-        raise MapFileParseError(f"{source}: JSON nested too deeply") from exc
+        raise InputError(f"{source}: JSON nested too deeply") from exc
     except MemoryError as exc:
-        raise MapFileParseError(f"{source}: out of memory") from exc
+        raise InputError(f"{source}: out of memory") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
-        raise MapFileParseError(f"{source}: expected an object with a 'nodes' array")
+        raise InputError(f"{source}: expected an object with a 'nodes' array")
     subject = doc.get("subject", "untitled")
     if not isinstance(subject, str):
-        raise MapFileParseError(f"{source}: 'subject' must be a string")
-    try:  # a MapFileParseError from _map_columns names `source` already
+        raise InputError(f"{source}: 'subject' must be a string")
+    try:  # an InputError from _map_columns names `source` already
         return validate_map(ConceptMap._of_columns(subject, *_map_columns(doc["nodes"], source)))
     except ValidationError as exc:
         raise type(exc)(f"{source}: {exc}") from exc
@@ -193,17 +187,17 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
     """Read a roster CSV; rows keep file order, a blank line is no record, register
     numbers are unique.  Every error names `path` as given, and a line number
     counts every physical line."""
-    reader = csv.reader(io.StringIO(_utf8(_read(path), str(path), RosterSchemaError), newline=""))
+    reader = csv.reader(io.StringIO(_utf8(_read(path), str(path)), newline=""))
     records: dict[str, RosterRecord] = {}
     try:
         header = next(reader, None)
         if header is None:
-            raise RosterSchemaError(f"{path}: empty roster file")
+            raise InputError(f"{path}: empty roster file")
         index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
         missing = [c for c in ROSTER_COLUMNS if c not in index]
         if missing:
             nul = "; NUL in the header (UTF-16 or UTF-32?)" * ("\0" in "".join(header))
-            raise RosterSchemaError(f"{path}: missing column(s): {', '.join(missing)}{nul}")
+            raise InputError(f"{path}: missing column(s): {', '.join(missing)}{nul}")
         columns = [index[c] for c in ROSTER_COLUMNS]
         end = reader.line_num  # where the header ends
         for row in reader:
@@ -213,23 +207,23 @@ def parse_roster(path: str | Path) -> tuple[RosterRecord, ...]:
                 continue
             short = [c for c, i in zip(ROSTER_COLUMNS, columns) if i >= len(row)]
             if short:
-                raise RosterSchemaError(f"{path}: line {lineno}: missing cell(s): {', '.join(short)}")
+                raise InputError(f"{path}: line {lineno}: missing cell(s): {', '.join(short)}")
             if len(row) > len(header):
-                raise RosterSchemaError(
+                raise InputError(
                     f"{path}: line {lineno}: {len(row) - len(header)} cell(s) past the header")
             register_no = row[columns[0]].strip()
             if not register_no:
-                raise RosterSchemaError(f"{path}: line {lineno}: empty register_no")
+                raise InputError(f"{path}: line {lineno}: empty register_no")
             if register_no in (".", "..") or _UNSAFE_CHAR(register_no):
-                raise RosterSchemaError(
+                raise InputError(
                     f"{path}: line {lineno}: register_no {register_no!r} is not a safe file name")
             if "\0" in row[columns[-1]]:
-                raise RosterSchemaError(f"{path}: line {lineno}: map_path holds a NUL character")
+                raise InputError(f"{path}: line {lineno}: map_path holds a NUL character")
             if register_no in records:
-                raise DuplicateRegisterError(f"{path}: duplicate register_no {register_no!r}")
+                raise InputError(f"{path}: duplicate register_no {register_no!r}")
             records[register_no] = RosterRecord(register_no, *map(row.__getitem__, columns[1:]))
     except csv.Error as exc:
-        raise RosterSchemaError(f"{path}: line {reader.line_num}: {exc}") from exc
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from exc
     return tuple(records.values())
 
 

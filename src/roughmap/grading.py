@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .analysis import TRUNCATION_PLACES, AnalysisResult, ImportanceRecord, LevelRegions
 from .conceptmap import from_columns
-from .errors import PercentRangeError, ReportFormatError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "GradeBand",
@@ -90,7 +90,7 @@ class RemediationPlan(NamedTuple):
 def assign_grade(actual_percent: int) -> str:
     """Letter grade for an integer percentage in 0..100."""
     if not 0 <= actual_percent <= 100:
-        raise PercentRangeError(f"percent out of range 0..100: {actual_percent}")
+        raise ValidationError(f"percent out of range 0..100: {actual_percent}")
     return next(band.grade for band in GRADE_BANDS if actual_percent >= band.lower_bound_percent)
 
 
@@ -287,7 +287,7 @@ REPORT_FORMATS = tuple(_RENDERERS)
 
 def _check_report_format(report_format: str) -> None:
     if report_format not in REPORT_FORMATS:
-        raise ReportFormatError(f"unknown report format: {report_format!r}")
+        raise ValidationError(f"unknown report format: {report_format!r}")
 
 
 def render_report(

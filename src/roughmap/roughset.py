@@ -15,7 +15,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import Frozen, InvalidSubsetError, UnknownAttributeError
+from .errors import Frozen, ValidationError
 
 __all__ = [
     "Universe",
@@ -144,7 +144,7 @@ def _checked_subset(space: ApproximationSpace, a: Iterable[str]) -> frozenset[st
     subset = frozenset(a)
     stray = subset - space.universe.element_set
     if stray:
-        raise InvalidSubsetError(f"elements not in the universe: {sorted(stray)}")
+        raise ValidationError(f"elements not in the universe: {sorted(stray)}")
     return subset
 
 
@@ -212,7 +212,7 @@ def indiscernibility(table: DecisionTable, p: Iterable[str]) -> Partition:
     chosen = set(p)
     unknown = chosen - set(table.attributes)
     if unknown:
-        raise UnknownAttributeError(f"unknown attribute(s): {sorted(unknown)}")
+        raise ValidationError(f"unknown attribute(s): {sorted(unknown)}")
     indices = [i for i, a in enumerate(table.attributes) if a in chosen]
     signature = itemgetter(*indices) if indices else lambda row: ()
     groups: dict[object, list[str]] = {}

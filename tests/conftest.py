@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,15 @@ RED_LEAVES = {"C1", "C4", "C6", "C10", "C11", "C13", "C14"}
 def by_id(cmap: ConceptMap | IntegratedMap) -> dict:
     """A map's node rows by id."""
     return {n.id: n for n in cmap.nodes}
+
+
+@contextmanager
+def raises_exactly(error: type[Exception], message: str):
+    """Expect `error` itself, not a subclass, with exactly `message`: the
+    message, not the class, names the fault."""
+    with pytest.raises(error) as info:
+        yield
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def levels_of(cmap: ConceptMap) -> dict[str, int]:

@@ -29,15 +29,7 @@ from fractions import Fraction
 
 from roughmap.analysis import ALL_LEVELS, AnalysisResult, ImportanceRecord, LevelRegions
 from roughmap.conceptmap import NodeColor
-from roughmap.errors import (
-    CycleError,
-    DuplicateNodeError,
-    MapFileParseError,
-    RootCountError,
-    RootMismatchError,
-    UnknownParentError,
-    ValidationError,
-)
+from roughmap.errors import InputError, MapValidationError, UnknownParentError, ValidationError
 from roughmap.grading import GRADE_BANDS, GradedRecord, PlanStep, RemediationPlan
 from roughmap.roughset import ApproximationSpace, regions, rough_membership
 
@@ -60,11 +52,11 @@ def validate(nodes) -> tuple:
     """(nodes as (id, parent, phrase) tuples, levels) of a valid map."""
     normalized = [(*n, None) if len(n) == 2 else tuple(n) for n in nodes]
     if not normalized:
-        raise RootCountError("map has no nodes")
+        raise MapValidationError("map has no nodes")
     ids: set = set()
     for nid, _, _ in normalized:
         if nid in ids:
-            raise DuplicateNodeError(f"duplicate node id: {nid!r}")
+            raise MapValidationError(f"duplicate node id: {nid!r}")
         ids.add(nid)
     for nid, parent, _ in normalized:
         if parent is not None and parent not in ids:
@@ -78,14 +70,14 @@ def validate(nodes) -> tuple:
         while current is not None and current not in resolved:
             if current in on_path:
                 cycle = path[path.index(current):] + [current]
-                raise CycleError("cycle among nodes: " + " -> ".join(cycle))
+                raise MapValidationError("cycle among nodes: " + " -> ".join(cycle))
             on_path.add(current)
             path.append(current)
             current = parent_of[current]
         resolved.update(path)
     roots = [nid for nid, parent, _ in normalized if parent is None]
     if len(roots) > 1:
-        raise RootCountError(f"multiple root nodes: {roots}")
+        raise MapValidationError(f"multiple root nodes: {roots}")
     return tuple(normalized), levels(parent_of.items())
 
 
@@ -94,25 +86,25 @@ def parse(text: str, source: str = "<string>") -> tuple:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MapFileParseError(
+        raise InputError(
             f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
-        raise MapFileParseError(f"{source}: expected an object with a 'nodes' array")
+        raise InputError(f"{source}: expected an object with a 'nodes' array")
     subject = doc.get("subject", "untitled")
     if not isinstance(subject, str):
-        raise MapFileParseError(f"{source}: 'subject' must be a string")
+        raise InputError(f"{source}: 'subject' must be a string")
     nodes = []
     for i, entry in enumerate(doc["nodes"]):
         if not isinstance(entry, dict) or "id" not in entry or "parent" not in entry:
-            raise MapFileParseError(f"{source}: nodes[{i}] must be an object with 'id' and 'parent'")
+            raise InputError(f"{source}: nodes[{i}] must be an object with 'id' and 'parent'")
         nid, parent, phrase = entry["id"], entry["parent"], entry.get("phrase")
         if not isinstance(nid, str):
-            raise MapFileParseError(f"{source}: nodes[{i}].id must be a string")
+            raise InputError(f"{source}: nodes[{i}].id must be a string")
         if parent is not None and not isinstance(parent, str):
-            raise MapFileParseError(f"{source}: nodes[{i}].parent must be a string or null")
+            raise InputError(f"{source}: nodes[{i}].parent must be a string or null")
         if phrase is not None and not isinstance(phrase, str):
-            raise MapFileParseError(f"{source}: nodes[{i}].phrase must be a string")
+            raise InputError(f"{source}: nodes[{i}].phrase must be a string")
         nodes.append((nid, parent, phrase))
     try:
         return (subject, *validate(nodes))
@@ -131,7 +123,7 @@ def integrate(teacher, student) -> tuple:
     teacher_root = next(nid for nid, parent in teacher if parent is None)
     student_root = next(nid for nid, parent in student if parent is None)
     if teacher_root != student_root:
-        raise RootMismatchError(
+        raise ValidationError(
             f"root ids differ: teacher {teacher_root!r}, student {student_root!r}"
         )
     student_parent = dict(student)

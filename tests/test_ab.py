@@ -44,7 +44,7 @@ def test_ratio_quartiles_wins_and_marks(ab):
         ("cohort", "students_per_s"): ([100, 100, 100, 100], [70, 70, 70, 70]),  # 30% worse
         ("sample", "cold_start_ms"): ([10, 10, 10, 10], [20, 20, 20, 20]),  # no bound
     })
-    record = ab.summary(COMMITS, [1, 2, 3, 4], runs)
+    record = ab.summary(COMMITS, [1, 2, 3, 4], ab.side_orders(4), runs)
     rows = rows_of(record)
     p50 = rows["wide", "analyze_ms.p50"]
     assert p50["old"] == pytest.approx([12.5, 25, 37.5])
@@ -65,16 +65,54 @@ def test_ratio_quartiles_wins_and_marks(ab):
 
 
 def test_one_pair(ab):
-    rows = rows_of(ab.summary(COMMITS, [1], canned({("deep", "setup_s"): ([2], [1])})))
+    rows = rows_of(ab.summary(COMMITS, [1], ab.side_orders(1),
+                              canned({("deep", "setup_s"): ([2], [1])})))
     assert rows["deep", "setup_s"]["old"] == [2, 2, 2]
     assert rows["deep", "setup_s"]["new_won"] == 1
 
 
 def test_json_line(ab):
     runs = canned({("deep", "setup_s"): ([2, 3], [1, 4])})
-    line = json.loads(json.dumps(ab.summary(COMMITS, [1, 2], runs)))
-    assert set(line) == {"commits", "host", "seeds", "runs", "rows"}
+    orders = [("new", "old"), ("old", "new")]
+    line = json.loads(json.dumps(ab.summary(COMMITS, [1, 2], orders, runs)))
+    assert set(line) == {"commits", "host", "seeds", "orders", "runs", "rows"}
     assert set(line["host"]) == {"python", "platform", "cpus"}
     assert (line["commits"], line["seeds"], line["runs"]) == (COMMITS, [1, 2], runs)
+    assert line["orders"] == [["new", "old"], ["old", "new"]]
     assert set(line["rows"][0]) == {"workload", "metric", "old", "new", "ratio", "new_won",
                                     "worse"}
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 7, 10])
+def test_side_orders_are_balanced(ab, pairs):
+    """Half the pairs run OLD first and half NEW first (one either way when the
+    count is odd), whatever order the shuffle gives."""
+    for _ in range(20):
+        orders = ab.side_orders(pairs)
+        assert len(orders) == pairs
+        assert set(orders) <= {("old", "new"), ("new", "old")}
+        assert abs(orders.count(("old", "new")) - orders.count(("new", "old"))) == pairs % 2
+
+
+STDOUT = """\
+cohort seed 3: 4000 students in 80 batch calls, 300 analyze calls (the analyze_ms samples); 41 probes, mean 1.234 ms
+raw (uncorrected): students_per_s 1234.5678, analyze_ms.p50 0.6543, analyze_ms.p90 0.9876, setup_s 0.7001
+students_per_s                        1200.0000 1/s
+{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}
+"""
+
+
+def test_raw_figures(ab):
+    """run.py's uncorrected line becomes raw.<metric> entries; without it, none."""
+    assert ab.raw_figures(STDOUT) == {"raw.students_per_s": 1234.5678,
+                                      "raw.analyze_ms.p50": 0.6543,
+                                      "raw.analyze_ms.p90": 0.9876, "raw.setup_s": 0.7001}
+    assert ab.raw_figures(STDOUT.replace("raw (uncorrected)", "raw")) == {}
+
+
+def test_raw_figures_make_no_rows(ab):
+    """The table compares the corrected figures only."""
+    runs = canned({("cohort", "setup_s"): ([2, 3], [1, 4]),
+                   ("cohort", "raw.setup_s"): ([2, 3], [1, 4])})
+    rows = rows_of(ab.summary(COMMITS, [1, 2], ab.side_orders(2), runs))
+    assert set(rows) == {("cohort", "setup_s")}

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import reference
+from conftest import raises_exactly
 from roughmap.analysis import (
     ImportanceRecord,
     analyze,
@@ -14,7 +15,7 @@ from roughmap.analysis import (
     truncated,
 )
 from roughmap.conceptmap import integrate, validate_map
-from roughmap.errors import NothingToAnalyzeError, ValidationError
+from roughmap.errors import ValidationError
 from roughmap.grading import format_fraction, grade_records
 
 
@@ -64,7 +65,7 @@ class TestLevelRegions:
 
     def test_single_node_map_rejected(self):
         m = validate_map([("r", None)])
-        with pytest.raises(NothingToAnalyzeError):
+        with raises_exactly(ValidationError, "map has a single node, nothing to classify"):
             level_regions(integrate(m, m))
 
     def test_boundary_sets_never_contain_leaves(self, sample_integrated):

@@ -4,7 +4,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import GREEN_LEAVES, RED_LEAVES, STUDENT_NODES, TEACHER_NODES, by_id, levels_of
+from conftest import (
+    GREEN_LEAVES, RED_LEAVES, STUDENT_NODES, TEACHER_NODES, by_id, levels_of, raises_exactly)
 from roughmap.conceptmap import (
     ConceptMap,
     MapNode,
@@ -12,15 +13,7 @@ from roughmap.conceptmap import (
     integrate,
     validate_map,
 )
-from roughmap.errors import (
-    CycleError,
-    DuplicateNodeError,
-    MapValidationError,
-    RootCountError,
-    RootMismatchError,
-    SubjectMismatchError,
-    UnknownParentError,
-)
+from roughmap.errors import MapValidationError, UnknownParentError, ValidationError
 
 
 # The invalid node lists of TestValidateMap, each with the check it breaks.
@@ -46,15 +39,15 @@ class TestValidateMap:
         assert cmap.ids[cmap.parents.index(None)] == "S1"
 
     def test_two_cycle(self):
-        with pytest.raises(CycleError):
+        with raises_exactly(MapValidationError, "cycle among nodes: A -> B -> A"):
             validate_map([("A", "B"), ("B", "A")])
 
     def test_multiple_roots(self):
-        with pytest.raises(RootCountError, match="multiple"):
+        with raises_exactly(MapValidationError, "multiple root nodes: ['S1', 'U1']"):
             validate_map([("S1", None), ("U1", None)])
 
     def test_duplicate_id_named(self):
-        with pytest.raises(DuplicateNodeError, match="U1"):
+        with raises_exactly(MapValidationError, "duplicate node id: 'U1'"):
             validate_map([("S1", None), ("U1", "S1"), ("U1", "S1")])
 
     def test_dangling_parent(self):
@@ -62,11 +55,11 @@ class TestValidateMap:
             validate_map([("S1", None), ("U1", "GHOST")])
 
     def test_cycle_disjoint_from_root(self):
-        with pytest.raises(CycleError):
+        with raises_exactly(MapValidationError, "cycle among nodes: A -> B -> A"):
             validate_map([("R", None), ("A", "B"), ("B", "A")])
 
     def test_empty_input(self):
-        with pytest.raises(RootCountError):
+        with raises_exactly(MapValidationError, "map has no nodes"):
             validate_map([])
 
     @pytest.mark.parametrize("nid", [None, 5])
@@ -177,7 +170,7 @@ class TestIntegrate:
     def test_root_mismatch(self):
         a = validate_map([("S1", None), ("U1", "S1")])
         b = validate_map([("S2", None), ("U1", "S2")])
-        with pytest.raises(RootMismatchError):
+        with raises_exactly(ValidationError, "root ids differ: teacher 'S1', student 'S2'"):
             integrate(a, b)
 
     @given(SUBJECTS, SUBJECTS)
@@ -187,10 +180,9 @@ class TestIntegrate:
         if teacher_subject == student_subject or "untitled" in (teacher_subject, student_subject):
             assert integrate(teacher, student).subject == teacher_subject
             return
-        with pytest.raises(SubjectMismatchError) as info:
+        with raises_exactly(ValidationError, f"subjects differ: teacher {teacher_subject!r}, "
+                                             f"student {student_subject!r}"):
             integrate(teacher, student)
-        assert str(info.value) == (
-            f"subjects differ: teacher {teacher_subject!r}, student {student_subject!r}")
 
     def test_orphan_student_node(self):
         """A hand-built map is checked when it is made, before `integrate`."""
@@ -211,12 +203,12 @@ class TestIntegrate:
     def test_map_without_root(self, rootless):
         """A cycle and no root: refused when the map is made, whichever side
         of `integrate` it was meant for."""
-        with pytest.raises(CycleError, match="^cycle among nodes: a -> b -> a$"):
+        with raises_exactly(MapValidationError, "cycle among nodes: a -> b -> a"):
             ConceptMap(subject=rootless, nodes=[MapNode("a", "b"), MapNode("b", "a")])
 
     @pytest.mark.parametrize("side", ["teacher", "student"])
     def test_map_with_two_roots(self, side):
-        with pytest.raises(RootCountError, match=r"^multiple root nodes: \['a', 'c'\]$"):
+        with raises_exactly(MapValidationError, "multiple root nodes: ['a', 'c']"):
             ConceptMap(subject=side, nodes=[MapNode("a", None), MapNode("c", None)])
 
     def test_phrases_do_not_affect_colors(self, teacher_map):

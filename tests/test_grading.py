@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 
 import reference
+from conftest import raises_exactly
 import strategies
 from roughmap.analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, ImportanceRecord, analyze
 from roughmap.conceptmap import integrate, validate_map
-from roughmap.errors import PercentRangeError, ReportFormatError, ValidationError
+from roughmap.errors import ValidationError
 from roughmap.grading import (
     GRADE_BANDS,
     RemediationPlan,
@@ -51,7 +52,7 @@ class TestAssignGrade:
 
     @pytest.mark.parametrize("percent", [-1, 101, 1000])
     def test_out_of_range(self, percent):
-        with pytest.raises(PercentRangeError):
+        with raises_exactly(ValidationError, f"percent out of range 0..100: {percent}"):
             assign_grade(percent)
 
     def test_band_table_shape(self):
@@ -79,7 +80,7 @@ class TestGradeRecords:
     @pytest.mark.parametrize("overlap, percent", [(-1, -50), (3, 150)])
     def test_out_of_range_after_a_zero_percent(self, overlap, percent):
         # 0% is in range, so the guard must look past it to the offending record.
-        with pytest.raises(PercentRangeError, match=f"0..100: {percent}$"):
+        with raises_exactly(ValidationError, f"percent out of range 0..100: {percent}"):
             grade_records([_rec("zero", 0, 2), _rec("bad", overlap, 2)])
 
 
@@ -167,7 +168,7 @@ class TestRenderReport:
 
     def test_unknown_format(self, sample_analysis):
         result, graded, plan = sample_analysis
-        with pytest.raises(ReportFormatError):
+        with raises_exactly(ValidationError, "unknown report format: 'yaml'"):
             render_report(result, graded, plan, "yaml")
 
     def test_empty_analysis_is_header_only(self):

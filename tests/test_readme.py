@@ -7,14 +7,19 @@ import re
 from fractions import Fraction
 
 from conftest import REPO_ROOT
+from roughmap import errors
 from roughmap.roughset import Regions
+
+
+def library_section() -> str:
+    """The text of the README's ``## Library`` section."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
 
 
 def library_blocks() -> list[str]:
     """The ```python blocks of the README's ``## Library`` section."""
-    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    return re.findall(r"^```python\n(.*?)^```$", library_section(), flags=re.M | re.S)
 
 
 def run_block(source: str) -> tuple[dict, dict[str, tuple[object, str]]]:
@@ -57,3 +62,13 @@ def test_rough_set_example():
     got, comment = shown["regions"]
     assert got == Regions(pos=("x1", "x2"), neg=("x5", "x6"), bnd=("x3", "x4"))
     assert comment.startswith("pos/neg/bnd")
+
+
+def test_errors_paragraph_names_every_error_class():
+    """The Library section's `SomeError(Parent)` names are the exception classes
+    that roughmap.errors defines, each with its parent."""
+    named = set(re.findall(r"`(\w+Error)\((\w+)\)`", library_section()))
+    defined = {(name, cls.__base__.__name__) for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == errors.__name__}
+    assert named == defined

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 
 import reference
+from conftest import raises_exactly
 import strategies
 from roughmap.analysis import (
     ALL_LEVELS, DEEPEST_ONLY, ImportanceRecord, LevelRegions, analyze, level_regions)
 from roughmap.conceptmap import integrate, validate_map
-from roughmap.errors import PercentRangeError
+from roughmap.errors import ValidationError
 from roughmap.grading import (
     GradedRecord, PlanStep, _table, grade_records, remediation_sequence, render_report)
 
@@ -73,11 +74,16 @@ def test_grades_match_reference_on_every_percent():
     assert grade_records(records) == reference.grades(records)
 
 
-@pytest.mark.parametrize("overlap,child_count", [(4, 3), (-1, 3), (101, 1)])
+# (overlap, child_count) -> the percent that the error names
+OUT_OF_RANGE = {(4, 3): 133, (-1, 3): -34, (101, 1): 10100}
+
+
+@pytest.mark.parametrize("overlap,child_count", OUT_OF_RANGE)
 def test_grade_records_rejects_a_percent_out_of_range(overlap, child_count):
     good = ImportanceRecord("a", 1, 2, 1, Fraction(1, 2))
     bad = ImportanceRecord("b", 1, child_count, overlap, Fraction(overlap, child_count))
-    with pytest.raises(PercentRangeError, match="percent out of range"):
+    percent = OUT_OF_RANGE[overlap, child_count]
+    with raises_exactly(ValidationError, f"percent out of range 0..100: {percent}"):
         grade_records([good, bad])
 
 

@@ -10,7 +10,8 @@ import re
 import pytest
 
 import reference
-from roughmap.errors import InvalidSubsetError, UnknownAttributeError
+from conftest import raises_exactly
+from roughmap.errors import ValidationError
 from roughmap.roughset import (
     ApproximationSpace,
     DecisionTable,
@@ -44,7 +45,7 @@ class TestLowerApproximation:
         assert lower_approximation(SPACE, ALL) == SPACE.universe.elements
 
     def test_rejects_stray_elements(self):
-        with pytest.raises(InvalidSubsetError, match="zz"):
+        with raises_exactly(ValidationError, "elements not in the universe: ['zz']"):
             lower_approximation(SPACE, {"x1", "zz"})
 
 
@@ -61,7 +62,7 @@ class TestUpperApproximation:
         assert upper_approximation(SPACE, {"x3", "x4"}) == ("x3", "x4")
 
     def test_rejects_stray_elements(self):
-        with pytest.raises(InvalidSubsetError):
+        with raises_exactly(ValidationError, "elements not in the universe: ['nope']"):
             upper_approximation(SPACE, {"nope"})
 
 
@@ -186,7 +187,7 @@ class TestIndiscernibility:
         assert part.blocks == (("o1", "o2", "o3", "o4"),)
 
     def test_unknown_attribute(self):
-        with pytest.raises(UnknownAttributeError, match="bogus"):
+        with raises_exactly(ValidationError, "unknown attribute(s): ['bogus']"):
             indiscernibility(self.TABLE, {"a", "bogus"})
 
     def test_matches_pairwise_oracle_on_random_tables(self):
