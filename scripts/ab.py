@@ -55,6 +55,12 @@ def side_orders(pairs: int) -> list[tuple[str, str]]:
     return orders[:pairs]
 
 
+def draw_seeds(pairs: int) -> list[int]:
+    """One distinct random seed per pair, drawn anew each campaign, so a fast or slow seed
+    is not always the same pair's.  Both sides of a pair take its seed."""
+    return random.sample(range(1, 2**31), pairs)
+
+
 def side(commit: str, tree: Path, seed: int, what: str) -> dict[str, dict[str, float]]:
     """Extract `commit` into `tree`, add perfbench/, run it: workload -> metric -> value."""
     archive = subprocess.run([*GIT, "archive", commit, "--", ".", ":(exclude)perfbench"],
@@ -110,13 +116,12 @@ def main() -> int:
     commits = {label: run([*GIT, "rev-parse", "--verify", f"{rev}^{{commit}}"],
                           f"git rev-parse {rev}")[0].strip()
                for label, rev in zip(("old", "new"), args.commits)}
-    seeds, runs = list(range(1, args.pairs + 1)), {"old": [], "new": []}
-    orders = side_orders(args.pairs)
-    for seed, order in zip(seeds, orders):  # both sides of a pair take one seed
+    seeds, orders, runs = draw_seeds(args.pairs), side_orders(args.pairs), {"old": [], "new": []}
+    for pair, (seed, order) in enumerate(zip(seeds, orders), 1):
         for label in order:
             with tempfile.TemporaryDirectory(prefix="ab-") as tree:
-                runs[label].append(side(commits[label], Path(tree), seed, f"pair {seed}, {label}"))
-        print(f"pair {seed} of {args.pairs} done", flush=True)
+                runs[label].append(side(commits[label], Path(tree), seed, f"pair {pair}, {label}"))
+        print(f"pair {pair} of {args.pairs} done (seed {seed})", flush=True)
     record = summary(commits, seeds, orders, runs)
     print(f"OLD {commits['old']}, NEW {commits['new']}, {args.pairs} pairs, {record['host']}")
     print(f"{'workload':8} {'metric':15} {'OLD median [q1, q3]':>27} {'NEW median [q1, q3]':>27} "

@@ -42,7 +42,6 @@ __all__ = [
     "LevelRegions",
     "ImportanceRecord",
     "AnalysisResult",
-    "truncated",
     "level_regions",
     "analyze",
 ]
@@ -51,12 +50,6 @@ TRUNCATION_PLACES = 2
 
 DEEPEST_ONLY = "deepest"
 ALL_LEVELS = "all"
-
-
-def truncated(value: Fraction, places: int = TRUNCATION_PLACES) -> Fraction:
-    """Truncate a non-negative fraction toward zero at `places` decimals."""
-    scale = 10 ** places
-    return Fraction(value.numerator * scale // value.denominator, scale)
 
 
 class LevelRegions(NamedTuple):
@@ -86,7 +79,9 @@ class ImportanceRecord(NamedTuple):
 
     @property
     def truncated_alpha(self) -> Fraction:
-        return truncated(self.alpha)
+        """`alpha` truncated toward zero at two decimal places."""
+        scale = 10 ** TRUNCATION_PLACES
+        return Fraction(self.alpha.numerator * scale // self.alpha.denominator, scale)
 
 
 class AnalysisResult(NamedTuple):

@@ -138,7 +138,9 @@ def remediation_sequence(
 
 
 def format_fraction(value: Fraction, places: int) -> str:
-    """Fixed-point truncation toward zero with trailing zeros stripped."""
+    """Fixed-point truncation toward zero of a non-negative value, trailing zeros stripped."""
+    if value.numerator < 0:
+        raise ValidationError(f"value must be non-negative, got {value}")
     scale = 10 ** places
     whole, frac = divmod(value.numerator * scale // value.denominator, scale)
     digits = f"{frac:0{places}d}".rstrip("0")

@@ -83,6 +83,14 @@ def test_json_line(ab):
                                     "worse"}
 
 
+def test_one_random_seed_per_pair(ab):
+    """Each campaign draws one distinct seed per pair, and the JSON line carries them."""
+    seeds = ab.draw_seeds(10)
+    assert len(set(seeds)) == len(seeds) == 10 and seeds != ab.draw_seeds(10)
+    runs = canned({("deep", "setup_s"): ([2] * 10, [1] * 10)})
+    assert ab.summary(COMMITS, seeds, ab.side_orders(10), runs)["seeds"] == seeds
+
+
 @pytest.mark.parametrize("pairs", [1, 2, 7, 10])
 def test_side_orders_are_balanced(ab, pairs):
     """Half the pairs run OLD first and half NEW first (one either way when the

@@ -1154,7 +1154,7 @@ class TestDirectReader:
         readme = shell_command_lines(REPO_ROOT / "README.md")
         ci = shell_command_lines(REPO_ROOT / ".github" / "workflows" / "ci.yml")
         accepted = [argv for argv in readme + ci if argparse_values(argv) is not None]
-        assert len(readme) == 4 and readme == accepted[:4] and len(accepted) == 4 + 2
+        assert len(readme) == 4 and readme == accepted[:4] and len(accepted) == 4 + 3
         assert all(_read(argv) == argparse_values(argv) for argv in accepted)
 
     def test_bench_command_lines_are_read_directly(self, monkeypatch):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given
 
 from conftest import (
@@ -13,20 +12,9 @@ from roughmap.conceptmap import (
     integrate,
     validate_map,
 )
-from roughmap.errors import MapValidationError, UnknownParentError, ValidationError
+from roughmap.errors import ValidationError
+from test_faults import collect_rows
 
-
-# The invalid node lists of TestValidateMap, each with the check it breaks.
-INVALID_NODE_LISTS = {
-    "two-cycle": [("A", "B"), ("B", "A")],
-    "multiple-roots": [("S1", None), ("U1", None)],
-    "duplicate-id": [("S1", None), ("U1", "S1"), ("U1", "S1")],
-    "dangling-parent": [("S1", None), ("U1", "GHOST")],
-    "cycle-disjoint-from-root": [("R", None), ("A", "B"), ("B", "A")],
-    "empty": [],
-    "id-None": [("S1", None), (None, "S1")],
-    "id-5": [("S1", None), (5, "S1")],
-}
 
 # Subjects for TestIntegrate: the sample's, another course's, "untitled" and arbitrary text.
 SUBJECTS = st.sampled_from(["untitled", "Data Structures", "Computer Networks"]) | st.text(max_size=3)
@@ -38,53 +26,10 @@ class TestValidateMap:
         assert [n.id for n in cmap.nodes] == ["S1", "U1", "C1"]
         assert cmap.ids[cmap.parents.index(None)] == "S1"
 
-    def test_two_cycle(self):
-        with raises_exactly(MapValidationError, "cycle among nodes: A -> B -> A"):
-            validate_map([("A", "B"), ("B", "A")])
-
-    def test_multiple_roots(self):
-        with raises_exactly(MapValidationError, "multiple root nodes: ['S1', 'U1']"):
-            validate_map([("S1", None), ("U1", None)])
-
-    def test_duplicate_id_named(self):
-        with raises_exactly(MapValidationError, "duplicate node id: 'U1'"):
-            validate_map([("S1", None), ("U1", "S1"), ("U1", "S1")])
-
-    def test_dangling_parent(self):
-        with pytest.raises(UnknownParentError, match="GHOST"):
-            validate_map([("S1", None), ("U1", "GHOST")])
-
-    def test_cycle_disjoint_from_root(self):
-        with raises_exactly(MapValidationError, "cycle among nodes: A -> B -> A"):
-            validate_map([("R", None), ("A", "B"), ("B", "A")])
-
-    def test_empty_input(self):
-        with raises_exactly(MapValidationError, "map has no nodes"):
-            validate_map([])
-
-    @pytest.mark.parametrize("nid", [None, 5])
-    def test_non_string_id(self, nid):
-        """Refused with one line naming the node, as in a map file; a None id
-        used to be dropped from `depth`, and `integrate` then raised a bare
-        KeyError."""
-        with pytest.raises(MapValidationError, match=r"^nodes\[1\]\.id must be a string$"):
-            validate_map([("S1", None), (nid, "S1")])
-
-    @pytest.mark.parametrize("nodes", INVALID_NODE_LISTS.values(), ids=INVALID_NODE_LISTS)
-    def test_constructor_raises_as_validate_map(self, nodes):
-        """A map built by hand is checked when it is made, and raises the
-        exception type and message that `validate_map` raises."""
-        with pytest.raises(MapValidationError) as expected:
-            validate_map(nodes)
-        with pytest.raises(MapValidationError) as got:
-            ConceptMap("s", [MapNode(*node) for node in nodes])
-        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
-
     def test_checked_map_comes_back_unchanged(self, teacher_map):
         cmap = validate_map([("S1", None), ("U1", "S1")], subject="demo")
         assert validate_map(cmap) is validate_map(cmap, subject="demo") is cmap
-        with pytest.raises(ValueError,
-                           match="^subject 'other' given for a map of subject 'demo'$"):
+        with raises_exactly(ValueError, "subject 'other' given for a map of subject 'demo'"):
             validate_map(cmap, subject="other")
         assert validate_map(teacher_map) is teacher_map
         assert validate_map([("S1", None)]).subject == "untitled"
@@ -167,12 +112,6 @@ class TestIntegrate:
         assert by_id(imap)["Y"].level == 3
         assert by_id(imap)["Y"].color is NodeColor.GREEN
 
-    def test_root_mismatch(self):
-        a = validate_map([("S1", None), ("U1", "S1")])
-        b = validate_map([("S2", None), ("U1", "S2")])
-        with raises_exactly(ValidationError, "root ids differ: teacher 'S1', student 'S2'"):
-            integrate(a, b)
-
     @given(SUBJECTS, SUBJECTS)
     def test_subjects_differ_only_with_an_untitled_map(self, teacher_subject, student_subject):
         teacher = validate_map(TEACHER_NODES, subject=teacher_subject)
@@ -183,33 +122,6 @@ class TestIntegrate:
         with raises_exactly(ValidationError, f"subjects differ: teacher {teacher_subject!r}, "
                                              f"student {student_subject!r}"):
             integrate(teacher, student)
-
-    def test_orphan_student_node(self):
-        """A hand-built map is checked when it is made, before `integrate`."""
-        with pytest.raises(UnknownParentError,
-                           match="^node 'W' references unknown parent 'GHOST'$"):
-            ConceptMap(subject="x", nodes=(MapNode("S1", None), MapNode("W", "GHOST")))
-
-    def test_student_tree_only_with_teacher_map(self):
-        """A node under a teacher-only parent that the student omitted is
-        refused, as it is in a map file."""
-        teacher = validate_map([("S1", None), ("U1", "S1"), ("U2", "S1")])
-        assert "U2" in teacher.parent_of
-        with pytest.raises(UnknownParentError,
-                           match="^node 'W' references unknown parent 'U2'$"):
-            ConceptMap(subject="x", nodes=(MapNode("S1", None), MapNode("W", "U2")))
-
-    @pytest.mark.parametrize("rootless", ["teacher", "student"])
-    def test_map_without_root(self, rootless):
-        """A cycle and no root: refused when the map is made, whichever side
-        of `integrate` it was meant for."""
-        with raises_exactly(MapValidationError, "cycle among nodes: a -> b -> a"):
-            ConceptMap(subject=rootless, nodes=[MapNode("a", "b"), MapNode("b", "a")])
-
-    @pytest.mark.parametrize("side", ["teacher", "student"])
-    def test_map_with_two_roots(self, side):
-        with raises_exactly(MapValidationError, "multiple root nodes: ['a', 'c']"):
-            ConceptMap(subject=side, nodes=[MapNode("a", None), MapNode("c", None)])
 
     def test_phrases_do_not_affect_colors(self, teacher_map):
         relabeled = validate_map(
@@ -224,3 +136,6 @@ def test_fixture_files_match_inline_constants(teacher_map, student_map):
     # guards drift between data/ and the constants used by unit tests
     assert [(n.id, n.parent) for n in teacher_map.nodes] == TEACHER_NODES
     assert [(n.id, n.parent) for n in student_map.nodes] == STUDENT_NODES
+
+
+collect_rows(globals())

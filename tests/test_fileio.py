@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import csv
 import importlib
-import json
-import re
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -11,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import DATA_DIR, REPO_ROOT, by_id, raises_exactly
-from roughmap.conceptmap import ConceptMap, MapNode, integrate, validate_map
-from roughmap.errors import InputError, MapValidationError, RoughMapError
+from roughmap.conceptmap import integrate
+from roughmap.errors import InputError, RoughMapError
 from roughmap.fileio import (
     parse_concept_map,
     parse_concept_map_file,
@@ -20,19 +18,7 @@ from roughmap.fileio import (
     run_analyze,
     run_batch,
 )
-
-
-# A map file that breaks the file format, and the message after its source.
-SCHEMA_FAULTS = {
-    "[]": "expected an object with a 'nodes' array",
-    '{"subject":"x"}': "expected an object with a 'nodes' array",
-    '{"subject": 3, "nodes": []}': "'subject' must be a string",
-    '{"subject":"x","nodes":[{"id":"S1"}]}': "nodes[0] must be an object with 'id' and 'parent'",
-    '{"subject":"x","nodes":[{"id":1,"parent":null}]}': "nodes[0].id must be a string",
-    '{"subject":"x","nodes":[{"id":"S1","parent":2}]}': "nodes[0].parent must be a string or null",
-    '{"subject":"x","nodes":[{"id":"S1","parent":null,"phrase":7}]}':
-        "nodes[0].phrase must be a string",
-}
+from test_faults import collect_rows
 
 
 class TestParseConceptMap:
@@ -45,55 +31,6 @@ class TestParseConceptMap:
         assert len(teacher_map.nodes) == 20
         assert integrate(teacher_map, teacher_map).max_level == 2
         assert by_id(teacher_map)["U1"].phrase == "includes"
-
-    def test_duplicate_id_named(self, tmp_path):
-        path = tmp_path / "dup.json"
-        path.write_text(
-            '{"subject":"x","nodes":[{"id":"S1","parent":null},'
-            '{"id":"A","parent":"S1"},{"id":"A","parent":"S1"}]}'
-        )
-        with raises_exactly(MapValidationError, f"{path}: duplicate node id: 'A'"):
-            parse_concept_map_file(path)
-
-    def test_malformed_json_reports_position(self):
-        with raises_exactly(InputError,
-                            "<string>: invalid JSON at line 2, column 12: Expecting value"):
-            parse_concept_map(b'{"subject": "x",\n "nodes": [}')
-
-    @pytest.mark.parametrize("text", SCHEMA_FAULTS)
-    def test_schema_violations(self, text):
-        with raises_exactly(InputError, f"<string>: {SCHEMA_FAULTS[text]}"):
-            parse_concept_map(text.encode())
-
-    def test_missing_file_raises_oserror(self, tmp_path):
-        with pytest.raises(OSError, match="absent.json: missing or not a regular file$"):
-            parse_concept_map_file(tmp_path / "absent.json")
-
-
-# A second node that breaks one field rule, and the rule's message.
-FIELD_FAULTS = {
-    "id-5": ((5, "S"), "nodes[1].id must be a string"),
-    "id-None": ((None, "S"), "nodes[1].id must be a string"),
-    "id-surrogate": (("A\ud800", "S"), "nodes[1].id is not valid UTF-8 text"),
-    "parent-list": (("A", ["S"]), "nodes[1].parent must be a string or null"),
-    "phrase-5": (("A", "S", 5), "nodes[1].phrase must be a string"),
-}
-
-
-@pytest.mark.parametrize("node, message", FIELD_FAULTS.values(), ids=FIELD_FAULTS)
-def test_one_set_of_node_rules(node, message):
-    """A map file and a node list break a field rule with one message: the
-    file's names its source and exits 2, the node list's raises
-    MapValidationError, from `validate_map` and from `ConceptMap`, given
-    plain rows or MapNode instances, alike."""
-    nodes = [("S", None), node]
-    text = json.dumps({"nodes": [dict(zip(MapNode._fields, row)) for row in nodes]})
-    with raises_exactly(InputError, f"m.json: {message}"):
-        parse_concept_map(text.encode(), "m.json")
-    for build in (validate_map, lambda rows: ConceptMap("s", rows),
-                  lambda rows: ConceptMap("s", [MapNode(*row) for row in rows])):
-        with raises_exactly(MapValidationError, message):
-            build(nodes)
 
 
 class TestParseRoster:
@@ -108,29 +45,6 @@ class TestParseRoster:
         path.write_text("register_no,name,department,semester,subject,map_path\n")
         assert parse_roster(path) == ()
 
-    def test_missing_column_named(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text("register_no,name,department,semester,subject\n")
-        with raises_exactly(InputError, f"{path}: missing column(s): map_path"):
-            parse_roster(path)
-
-    def test_duplicate_register_no(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text(
-            "register_no,name,department,semester,subject,map_path\n"
-            "R1,a,d,s,sub,m.json\nR1,b,d,s,sub,m.json\n"
-        )
-        with raises_exactly(InputError, f"{path}: duplicate register_no 'R1'"):
-            parse_roster(path)
-
-    def test_empty_register_no(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_text(
-            "register_no,name,department,semester,subject,map_path\n,a,d,s,sub,m.json\n"
-        )
-        with raises_exactly(InputError, f"{path}: line 2: empty register_no"):
-            parse_roster(path)
-
     def test_printable_register_no_beside_controls(self, tmp_path):
         """Only control characters (category Cc) are refused: U+00A0, the
         first printable character after U+0080-U+009F, is kept."""
@@ -143,19 +57,6 @@ class TestParseRoster:
         path = tmp_path / "r.csv"
         path.write_text(f"{ROSTER_HEADER}\nR1,a,d,s,sub,m.json\n\r\n\nR2,b,d,s,sub,m.json\n\n")
         assert [r.register_no for r in parse_roster(path)] == ["R1", "R2"]
-
-    @pytest.mark.parametrize("rows, message", [
-        ("R1,a,d,s,sub,m.json\n\n\n,a,d,s,sub,m.json\n", "line 5: empty register_no"),
-        ('R1,"a\nb",d,s,sub,m.json\n\nR2,a,d\n',
-         "line 5: missing cell(s): semester, subject, map_path"),
-        ("\r\nR1,a,d,s,sub,m.json,x\r\n", "line 3: 1 cell(s) past the header"),
-    ], ids=["blank-lines", "quoted-newline", "crlf"])
-    def test_line_number_counts_every_line(self, tmp_path, rows, message):
-        """Blank lines and a quoted newline count as the lines they are."""
-        path = tmp_path / "r.csv"
-        path.write_text(ROSTER_HEADER + rows, newline="")
-        with raises_exactly(InputError, f"{path}: {message}"):
-            parse_roster(path)
 
     def test_repeated_column_keeps_the_last(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -215,17 +116,28 @@ class TestRosterFuzz:
         assert [r.name for r in parse_roster(roster_file)] == ["a\x00b"]
 
 
+NOT_UTF8 = "not UTF-8 text: invalid start byte at byte "
+NUL_IN_MAP = ": not UTF-8 JSON (UTF-16 or UTF-32?)"
+NUL_IN_ROSTER = ("missing column(s): register_no, name, department, semester, subject, map_path; "
+                 "NUL in the header (UTF-16 or UTF-32?)")
 # A UTF-8 document's bytes, recoded: three ways that are not UTF-8, one
 # that is, and three that are UTF-8 only because the document is ASCII
 # text: UTF-16 or UTF-32 with no byte order mark, NUL beside every character.
+# Each comes with the fault of the sample map and of the sample roster
+# (781 and 166 bytes), or None where it reads as the original.
 ENCODINGS = {
-    "utf-16-bom": lambda data: data.decode("utf-8").encode("utf-16"),
-    "utf-32-bom": lambda data: data.decode("utf-8").encode("utf-32"),
-    "stray-0xff": lambda data: data + b"\xff",
-    "utf-8-bom": lambda data: b"\xef\xbb\xbf" + data,
-    "utf-16-le": lambda data: data.decode("utf-8").encode("utf-16-le"),
-    "utf-16-be": lambda data: data.decode("utf-8").encode("utf-16-be"),
-    "utf-32-le": lambda data: data.decode("utf-8").encode("utf-32-le"),
+    "utf-16-bom": (lambda data: data.decode("utf-8").encode("utf-16"),
+                   NOT_UTF8 + "0", NOT_UTF8 + "0"),
+    "utf-32-bom": (lambda data: data.decode("utf-8").encode("utf-32"),
+                   NOT_UTF8 + "0", NOT_UTF8 + "0"),
+    "stray-0xff": (lambda data: data + b"\xff", NOT_UTF8 + "781", NOT_UTF8 + "166"),
+    "utf-8-bom": (lambda data: b"\xef\xbb\xbf" + data, None, None),
+    "utf-16-le": (lambda data: data.decode("utf-8").encode("utf-16-le"),
+                  "NUL character at index 1" + NUL_IN_MAP, NUL_IN_ROSTER),
+    "utf-16-be": (lambda data: data.decode("utf-8").encode("utf-16-be"),
+                  "NUL character at index 0" + NUL_IN_MAP, NUL_IN_ROSTER),
+    "utf-32-le": (lambda data: data.decode("utf-8").encode("utf-32-le"),
+                  "NUL character at index 1" + NUL_IN_MAP, NUL_IN_ROSTER),
 }
 # Each way a file's bytes come in: (reader of a path, sample file).
 WAYS_IN = {
@@ -244,13 +156,14 @@ def test_one_decode_rule(tmp_path, way_in, encoding):
     anything else with an InputError, which names a NUL when the bytes
     are UTF-8 only by accident."""
     read, name = WAYS_IN[way_in]
+    recode, *faults = ENCODINGS[encoding]
+    fault = faults[name == "roster.csv"]
     path = tmp_path / name
-    path.write_bytes(ENCODINGS[encoding]((DATA_DIR / name).read_bytes()))
-    if encoding == "utf-8-bom":
+    path.write_bytes(recode((DATA_DIR / name).read_bytes()))
+    if fault is None:
         assert read(path) == read(DATA_DIR / name)
     else:
-        fault = "not UTF-8 text: " if encoding.endswith(("bom", "0xff")) else ".*NUL"
-        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {fault}"):
+        with raises_exactly(InputError, f"{path}: {fault}"):
             read(path)
 
 
@@ -277,3 +190,6 @@ def test_bad_knob_exits_1_with_one_line(tmp_path, capsys, run, knob, message, ab
     assert code == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+collect_rows(globals())

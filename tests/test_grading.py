@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 import reference
-from conftest import raises_exactly
 import strategies
 from roughmap.analysis import ALL_LEVELS, DEEPEST_ONLY, AnalysisResult, ImportanceRecord, analyze
 from roughmap.conceptmap import integrate, validate_map
-from roughmap.errors import ValidationError
 from roughmap.grading import (
     GRADE_BANDS,
     RemediationPlan,
@@ -24,6 +22,7 @@ from roughmap.grading import (
     remediation_sequence,
     render_report,
 )
+from test_faults import collect_rows
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -50,11 +49,6 @@ class TestAssignGrade:
     def test_bands(self, percent, grade):
         assert assign_grade(percent) == grade
 
-    @pytest.mark.parametrize("percent", [-1, 101, 1000])
-    def test_out_of_range(self, percent):
-        with raises_exactly(ValidationError, f"percent out of range 0..100: {percent}"):
-            assign_grade(percent)
-
     def test_band_table_shape(self):
         assert [(b.grade, b.lower_bound_percent) for b in GRADE_BANDS] == [
             ("A", 75), ("B", 50), ("C", 0)]
@@ -77,11 +71,6 @@ class TestGradeRecords:
         assert g.actual_percent == 33
         assert g.grade == "C"
 
-    @pytest.mark.parametrize("overlap, percent", [(-1, -50), (3, 150)])
-    def test_out_of_range_after_a_zero_percent(self, overlap, percent):
-        # 0% is in range, so the guard must look past it to the offending record.
-        with raises_exactly(ValidationError, f"percent out of range 0..100: {percent}"):
-            grade_records([_rec("zero", 0, 2), _rec("bad", overlap, 2)])
 
 
 class TestRemediationSequence:
@@ -110,10 +99,6 @@ class TestRemediationSequence:
         desc = remediation_sequence(records, "desc")
         assert [s.node for s in asc.steps] == ["c", "a", "b"]
         assert [s.node for s in desc.steps] == ["a", "b", "c"]
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValidationError, match="^order must be 'asc' or 'desc', got 'upwards'$"):
-            remediation_sequence([], "upwards")
 
     @given(st.dictionaries(
         st.text(max_size=3),
@@ -166,11 +151,6 @@ class TestRenderReport:
         assert back_graded == graded
         assert back_plan == plan
 
-    def test_unknown_format(self, sample_analysis):
-        result, graded, plan = sample_analysis
-        with raises_exactly(ValidationError, "unknown report format: 'yaml'"):
-            render_report(result, graded, plan, "yaml")
-
     def test_empty_analysis_is_header_only(self):
         empty = AnalysisResult(regions=(), records=(), expected_result=Fraction(0))
         plan = RemediationPlan(order="asc", steps=())
@@ -210,3 +190,6 @@ def test_json_writer_matches_json_dumps(pair, data):
     graded = grade_records(result.records)
     plan = remediation_sequence(result.records, data.draw(st.sampled_from(["asc", "desc"])))
     assert render_report(result, graded, plan, "json") == reference.json_text(result, graded, plan)
+
+
+collect_rows(globals())

@@ -9,18 +9,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 import reference
-from conftest import raises_exactly
 import strategies
 from roughmap.analysis import (
     ALL_LEVELS, DEEPEST_ONLY, ImportanceRecord, LevelRegions, analyze, level_regions)
 from roughmap.conceptmap import integrate, validate_map
-from roughmap.errors import ValidationError
 from roughmap.grading import (
     GradedRecord, PlanStep, _table, grade_records, remediation_sequence, render_report)
+from test_faults import collect_rows
 
 # Ids with the characters csv quotes and JSON escapes, controls and
 # non-ASCII ones included.
@@ -74,19 +72,6 @@ def test_grades_match_reference_on_every_percent():
     assert grade_records(records) == reference.grades(records)
 
 
-# (overlap, child_count) -> the percent that the error names
-OUT_OF_RANGE = {(4, 3): 133, (-1, 3): -34, (101, 1): 10100}
-
-
-@pytest.mark.parametrize("overlap,child_count", OUT_OF_RANGE)
-def test_grade_records_rejects_a_percent_out_of_range(overlap, child_count):
-    good = ImportanceRecord("a", 1, 2, 1, Fraction(1, 2))
-    bad = ImportanceRecord("b", 1, child_count, overlap, Fraction(overlap, child_count))
-    percent = OUT_OF_RANGE[overlap, child_count]
-    with raises_exactly(ValidationError, f"percent out of range 0..100: {percent}"):
-        grade_records([good, bad])
-
-
 _CELLS = st.text(st.sampled_from("ab \t\u00e9\U0001f600"), max_size=4)
 
 
@@ -99,3 +84,6 @@ def test_table_matches_reference(table):
     headers, rows = table
     columns = [[row[i] for row in rows] for i in range(len(headers))]
     assert _table(headers, columns) == reference.table(headers, rows)
+
+
+collect_rows(globals())

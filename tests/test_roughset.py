@@ -5,18 +5,11 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
-
-import pytest
 
 import reference
-from conftest import raises_exactly
-from roughmap.errors import ValidationError
 from roughmap.roughset import (
     ApproximationSpace,
     DecisionTable,
-    Partition,
-    Universe,
     boundary,
     indiscernibility,
     is_exact,
@@ -24,6 +17,7 @@ from roughmap.roughset import (
     regions,
     upper_approximation,
 )
+from test_faults import collect_rows
 
 
 BLOCKS = (("x1", "x2"), ("x3", "x4"), ("x5", "x6"))
@@ -44,10 +38,6 @@ class TestLowerApproximation:
     def test_full_universe(self):
         assert lower_approximation(SPACE, ALL) == SPACE.universe.elements
 
-    def test_rejects_stray_elements(self):
-        with raises_exactly(ValidationError, "elements not in the universe: ['zz']"):
-            lower_approximation(SPACE, {"x1", "zz"})
-
 
 class TestUpperApproximation:
     def test_worked_example(self):
@@ -60,10 +50,6 @@ class TestUpperApproximation:
 
     def test_one_full_block_is_exact(self):
         assert upper_approximation(SPACE, {"x3", "x4"}) == ("x3", "x4")
-
-    def test_rejects_stray_elements(self):
-        with raises_exactly(ValidationError, "elements not in the universe: ['nope']"):
-            upper_approximation(SPACE, {"nope"})
 
 
 class TestBoundary:
@@ -123,17 +109,6 @@ class TestFromBlocks:
         assert space.universe.elements == ("x3", "x1", "x2")
         assert space.partition.blocks == (("x3", "x1"), ("x2",))
 
-    @pytest.mark.parametrize("blocks, message", [
-        ([("a", "b"), ("b", "c")], "element in more than one block: 'b'"),
-        ([("a", "a")], "element in more than one block: 'a'"),
-        ([("a",), ()], "partition contains an empty block"),
-    ])
-    def test_partition_errors(self, blocks, message):
-        """The partition's check runs first, so `Universe`'s "duplicate
-        element" never surfaces."""
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ApproximationSpace.from_blocks(blocks)
-
 
 class TestOrdering:
     def test_results_follow_universe_order(self):
@@ -186,10 +161,6 @@ class TestIndiscernibility:
         part = indiscernibility(self.TABLE, set())
         assert part.blocks == (("o1", "o2", "o3", "o4"),)
 
-    def test_unknown_attribute(self):
-        with raises_exactly(ValidationError, "unknown attribute(s): ['bogus']"):
-            indiscernibility(self.TABLE, {"a", "bogus"})
-
     def test_matches_pairwise_oracle_on_random_tables(self):
         rng = random.Random(77)
         for _ in range(100):
@@ -207,43 +178,7 @@ class TestIndiscernibility:
 
 
 class TestContainers:
-    def test_universe_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Universe(("a", "b", "a"))
+    """Construction checks of the containers: rows of test_faults.LIBRARY_FAULTS."""
 
-    def test_partition_rejects_overlap(self):
-        with pytest.raises(ValueError, match="more than one block"):
-            Partition((("a", "b"), ("b", "c")))
 
-    def test_partition_rejects_empty_block(self):
-        with pytest.raises(ValueError, match="empty block"):
-            Partition((("a",), ()))
-
-    def test_space_requires_exact_cover(self):
-        with pytest.raises(ValueError, match="does not cover"):
-            ApproximationSpace(Universe(("a", "b")), Partition((("a",),)))
-        with pytest.raises(ValueError, match="exceeds"):
-            ApproximationSpace(Universe(("a",)), Partition((("a", "b"),)))
-
-    def test_decision_table_requires_total_values(self):
-        objects = Universe(("o1", "o2"))
-        with pytest.raises(ValueError, match="row for 'o2' has 1 values, expected 2"):
-            DecisionTable(objects=objects, attributes=("a", "b"), rows=(("1", "x"), ("2",)),
-                          condition=frozenset({"a"}), decision=frozenset({"b"}))
-        with pytest.raises(ValueError, match="1 rows for 2 objects"):
-            DecisionTable(objects=objects, attributes=("a", "b"), rows=(("1", "x"),),
-                          condition=frozenset({"a"}), decision=frozenset({"b"}))
-
-    def test_decision_table_feature_subsets_checked(self):
-        with pytest.raises(ValueError, match="condition"):
-            DecisionTable(
-                objects=Universe(("o1",)),
-                attributes=("a",),
-                rows=(("1",),),
-                condition=frozenset({"zz"}),
-                decision=frozenset(),
-            )
-
-    def test_from_rows_row_length_checked(self):
-        with pytest.raises(ValueError, match="expected 2"):
-            DecisionTable.from_rows({"o1": ["1"]}, attributes=("a", "b"))
+collect_rows(globals())

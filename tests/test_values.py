@@ -1,6 +1,6 @@
 """The value classes: built positionally or by keyword, read-only once built,
-checked at construction with the same exception types and messages, and
-imported without the `dataclasses` machinery."""
+and imported without the `dataclasses` machinery.  Their construction checks
+are rows of test_faults.LIBRARY_FAULTS."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from roughmap.conceptmap import ConceptMap, IntegratedMap, MapNode, NodeColor
 from roughmap.fileio import RosterRecord
 from roughmap.grading import GradeBand, PlanStep, RemediationPlan
 from roughmap.roughset import ApproximationSpace, DecisionTable, Partition, Universe
+from test_faults import collect_rows
 
 SRC = REPO_ROOT / "src"
 
@@ -59,57 +60,6 @@ def test_fields_are_read_only(cls, names, values):
         assert getattr(value, name) == expected
 
 
-def _table(attributes, rows, condition=(), decision=()):
-    return DecisionTable(Universe(("o1",)), attributes, rows, condition, decision)
-
-
-# (construction, exception message); every check raises ValueError.  Where a
-# value breaks two checks, the message names the one that runs first.
-CHECKS = [
-    (lambda: Universe(("a", "b", "a")), "duplicate element: 'a'"),
-    (lambda: Partition((("a",), ())), "partition contains an empty block"),
-    (lambda: Partition((("a", "b"), ("b", "c"))), "element in more than one block: 'b'"),
-    (lambda: Partition((("a", "b"), ("b",), ())), "element in more than one block: 'b'"),
-    (lambda: Partition(((), ("a", "a"))), "partition contains an empty block"),
-    (lambda: ApproximationSpace(Universe(("a", "b")), Partition((("a",),))),
-     "partition does not cover: ['b']"),
-    (lambda: ApproximationSpace(Universe(("a",)), Partition((("a", "b"),))),
-     "partition exceeds the universe: ['b']"),
-    (lambda: ApproximationSpace(Universe(("a", "b")), Partition((("a", "c"),))),
-     "partition does not cover: ['b']"),
-    (lambda: _table(("a", "a"), (), condition={"zz"}), "duplicate attribute names"),
-    (lambda: _table(("a",), (("1",),), condition={"zz"}, decision={"yy"}),
-     "condition features not among attributes: ['zz']"),
-    (lambda: _table(("a",), (("1",),), decision={"yy"}),
-     "decision features not among attributes: ['yy']"),
-    (lambda: _table(("a", "b"), (("1",),), decision={"zz"}),
-     "decision features not among attributes: ['zz']"),
-    (lambda: _table(("a", "b"), (), decision={"a"}), "0 rows for 1 objects"),
-    (lambda: _table(("a",), (("1",), ("2",))), "2 rows for 1 objects"),
-    (lambda: _table(("a", "b", "c"), (("1",),)), "row for 'o1' has 1 values, expected 3"),
-    (lambda: _table(("a",), (("1", "2"),)), "row for 'o1' has 2 values, expected 1"),
-    (lambda: DecisionTable.from_rows({"o1": ["1"]}, attributes=("a", "b")),
-     "row for 'o1' has 1 values, expected 2"),
-    (lambda: DecisionTable.from_rows({"o1": ["1", "2"], "o2": ["3"], "o3": []}, ("a", "b")),
-     "row for 'o2' has 1 values, expected 2"),
-    (lambda: IntegratedMap("s", ("r", "a", "b"), (None, "r"), (0, 1, 1),
-                           (None, NodeColor.GREEN, NodeColor.RED)),
-     "ids, parents, levels and colors must be non-empty columns of one length, "
-     "got lengths [3, 2, 3, 3]"),
-    (lambda: IntegratedMap("s", (), (), (), ()),
-     "ids, parents, levels and colors must be non-empty columns of one length, "
-     "got lengths [0, 0, 0, 0]"),
-]
-
-
-@pytest.mark.parametrize("construct, message", CHECKS)
-def test_construction_checks(construct, message):
-    with pytest.raises(ValueError) as info:
-        construct()
-    assert type(info.value) is ValueError
-    assert str(info.value) == message
-
-
 def test_import_loads_no_dataclass_machinery():
     """`import roughmap.cli` loads neither `dataclasses` nor `inspect`.  The
     child runs with -S, since a site-packages `.pth` file may import either."""
@@ -120,3 +70,6 @@ def test_import_loads_no_dataclass_machinery():
                          text=True, check=True).stdout.splitlines()
     assert out == [str(SRC / "roughmap" / "cli.py"), "[]"]
     assert [path for path in SRC.rglob("*.py") if "dataclass" in path.read_text()] == []
+
+
+collect_rows(globals())
