@@ -10,6 +10,7 @@ from roughmap.fileio import parse_concept_map_file
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
+ROSTER_HEADER = "register_no,name,department,semester,subject,map_path\n"
 
 # The bundled sample: a reference tree S1 -> U1..U5 -> fourteen leaves, and a
 # student who kept 7 leaves in place, lost 7, and misfiled U2 under U1 (so U2
@@ -51,6 +52,36 @@ def raises_exactly(error: type[Exception], message: str):
     with pytest.raises(error) as info:
         yield
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+def collect_rows(namespace, table, check, default, marks=lambda key: []):
+    """Collect each row of `table` that is a test of the module `namespace` as
+    that test, which runs `check(key, tmp_path, monkeypatch, capsys)`.  A key is
+    the test's id, `[module::][Class::]test[case]`, where no module is the module
+    of `check`, and a key that names no test is a case of the test `default`."""
+    module, tests = namespace["__name__"].rpartition(".")[2], {}
+    for key in table:
+        name, _, case = key.partition("[")
+        if "test_" not in name:
+            name, case = default, key + "]"
+        owner, _, rest = name.partition("::")
+        owner, name = (owner, rest) if rest and owner.islower() else (check.__module__, name)
+        if owner.rpartition(".")[2] == module:
+            tests.setdefault(name, []).append((case[:-1], key))
+    for name, cases in tests.items():
+        if cases[0][0]:
+            @pytest.mark.parametrize("key", [pytest.param(key, id=case, marks=marks(key))
+                                             for case, key in cases])
+            def test(key, tmp_path, monkeypatch, capsys):
+                check(key, tmp_path, monkeypatch, capsys)
+        else:
+            def test(tmp_path, monkeypatch, capsys, key=cases[0][1]):
+                check(key, tmp_path, monkeypatch, capsys)
+        owner, _, name = name.rpartition("::")
+        if owner:
+            setattr(namespace.setdefault(owner, type(owner, (), {})), name, staticmethod(test))
+        else:
+            namespace[name] = test
 
 
 def levels_of(cmap: ConceptMap) -> dict[str, int]:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies
-from conftest import DATA_DIR, REPO_ROOT
+from conftest import DATA_DIR, REPO_ROOT, collect_rows
 from roughmap import fileio
 from roughmap.cli import COMMANDS, _read, build_parser, main
 from roughmap.grading import REPORT_FORMATS, parse_report
@@ -503,37 +503,6 @@ def marks(key):
     """CSV_NUL for a row with a NUL in a roster."""
     rosters = [entry for name, entry in row_of(key)[1].items() if name.endswith(".csv")]
     return [CSV_NUL] if any(kind(entry) == "file" and b"\0" in entry for entry in rosters) else []
-
-
-def row_test(cases):
-    """The test of the (case id, key) pairs `cases`: one that runs the row of
-    each key by `check_row`, or, with no case id, the one row's test."""
-    if not cases[0][0]:
-        key = cases[0][1]
-        return lambda tmp_path, monkeypatch, capsys: check_row(key, tmp_path, monkeypatch, capsys)
-
-    @pytest.mark.parametrize("key", [pytest.param(key, id=case, marks=marks(key))
-                                     for case, key in cases])
-    def test(key, tmp_path, monkeypatch, capsys):
-        check_row(key, tmp_path, monkeypatch, capsys)
-    return test
-
-
-def collect_rows(namespace):
-    """Collect each row of FAULT_MATRIX in `namespace` as the test its id
-    names, or as a case of test_fault_matrix."""
-    tests = {}
-    for key in FAULT_MATRIX:
-        name, _, case = key.partition("[")
-        if "test_" not in name:
-            name, case = "test_fault_matrix", key + "]"
-        tests.setdefault(name, []).append((case[:-1], key))
-    for name, cases in tests.items():
-        owner, _, test_name = name.rpartition("::")
-        if owner:
-            setattr(namespace[owner], test_name, staticmethod(row_test(cases)))
-        else:
-            namespace[test_name] = row_test(cases)
 
 
 class TestAnalyzeCommand:
@@ -1209,4 +1178,4 @@ class TestDirectReader:
         assert out.is_file() and (tmp_path / "out" / "cohort_summary.csv").is_file()
 
 
-collect_rows(globals())
+collect_rows(globals(), FAULT_MATRIX, check_row, "test_fault_matrix", marks)

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
-import pytest
-
-from conftest import raises_exactly
+import conftest
+from conftest import ROSTER_HEADER, raises_exactly
 from roughmap import errors
 from roughmap.analysis import AnalysisResult, ImportanceRecord, analyze, level_regions
 from roughmap.conceptmap import (
@@ -24,7 +24,6 @@ from roughmap.roughset import (
     ApproximationSpace, DecisionTable, Partition, Universe, indiscernibility,
     lower_approximation, upper_approximation)
 
-HEADER = "register_no,name,department,semester,subject,map_path\n"
 SPACE = ApproximationSpace.from_blocks((("x1", "x2"), ("x3", "x4"), ("x5", "x6")))
 ONE_NODE = validate_map([("r", None)])
 TWO_NODES = integrate(*[validate_map([("r", None), ("a", "r")])] * 2)
@@ -59,17 +58,15 @@ ROSTER = "test_fileio::TestParseRoster::"
 # rows runs as `validate_map(rows)`, `ConceptMap("s", rows)`, the same with MapNode
 # rows, and as the map file m.json, whose message starts "m.json: " and which raises
 # InputError for a field fault (one that names nodes[i]).  An id "module::[Class::]
-# test[case]" is that test in tests/module.py, any other test_library_faults[id].
-# A row with a tuple of ids is each of those tests.
+# test[case]" is that test in tests/module.py, any other test_library_faults[id];
+# a row that is an id is that id's row, checked again under a second test id.
 LIBRARY_FAULTS = {
     # Rough-set values.  Where a value breaks two checks, the message names the one run first.
-    (f"{CHECKS}duplicate element: 'a']", f"{CONTAINERS}test_universe_rejects_duplicates"): (
+    f"{CHECKS}duplicate element: 'a']": (
         lambda: Universe(("a", "b", "a")), ValueError, "duplicate element: 'a'"),
-    (f"{CHECKS}partition contains an empty block0]",
-     f"{CONTAINERS}test_partition_rejects_empty_block"): (
+    f"{CHECKS}partition contains an empty block0]": (
         lambda: Partition((("a",), ())), ValueError, "partition contains an empty block"),
-    (f"{CHECKS}element in more than one block: 'b'0]",
-     f"{CONTAINERS}test_partition_rejects_overlap"): (
+    f"{CHECKS}element in more than one block: 'b'0]": (
         lambda: Partition((("a", "b"), ("b", "c"))), ValueError,
         "element in more than one block: 'b'"),
     f"{CHECKS}element in more than one block: 'b'1]": (
@@ -77,8 +74,7 @@ LIBRARY_FAULTS = {
         "element in more than one block: 'b'"),
     f"{CHECKS}partition contains an empty block1]": (
         lambda: Partition(((), ("a", "a"))), ValueError, "partition contains an empty block"),
-    (f"{CHECKS}partition does not cover: ['b']0]",
-     f"{CONTAINERS}test_space_requires_exact_cover"): (
+    f"{CHECKS}partition does not cover: ['b']0]": (
         lambda: ApproximationSpace(Universe(("a", "b")), Partition((("a",),))), ValueError,
         "partition does not cover: ['b']"),
     f"{CHECKS}partition exceeds the universe: ['b']]": (
@@ -99,8 +95,7 @@ LIBRARY_FAULTS = {
         "partition contains an empty block"),
     f"{CHECKS}duplicate attribute names]": (
         lambda: table(("a", "a"), (), condition={"zz"}), ValueError, "duplicate attribute names"),
-    (f"{CHECKS}condition features not among attributes: ['zz']]",
-     f"{CONTAINERS}test_decision_table_feature_subsets_checked"): (
+    f"{CHECKS}condition features not among attributes: ['zz']]": (
         lambda: table(("a",), (("1",),), condition={"zz"}, decision={"yy"}), ValueError,
         "condition features not among attributes: ['zz']"),
     f"{CHECKS}decision features not among attributes: ['yy']]": (
@@ -118,14 +113,21 @@ LIBRARY_FAULTS = {
         "row for 'o1' has 1 values, expected 3"),
     f"{CHECKS}row for 'o1' has 2 values, expected 1]": (
         lambda: table(("a",), (("1", "2"),)), ValueError, "row for 'o1' has 2 values, expected 1"),
-    (f"{CHECKS}row for 'o1' has 1 values, expected 2]",
-     f"{CONTAINERS}test_from_rows_row_length_checked"): (
+    f"{CHECKS}row for 'o1' has 1 values, expected 2]": (
         lambda: DecisionTable.from_rows({"o1": ["1"]}, attributes=("a", "b")), ValueError,
         "row for 'o1' has 1 values, expected 2"),
-    (f"{CHECKS}row for 'o2' has 1 values, expected 2]",
-     f"{CONTAINERS}test_decision_table_requires_total_values"): (
+    f"{CHECKS}row for 'o2' has 1 values, expected 2]": (
         lambda: DecisionTable.from_rows({"o1": ["1", "2"], "o2": ["3"], "o3": []}, ("a", "b")),
         ValueError, "row for 'o2' has 1 values, expected 2"),
+    # The containers' checks as they were first written: each another id of a row above.
+    **{f"{CONTAINERS}test_{name}": f"{CHECKS}{case}]" for name, case in (
+        ("universe_rejects_duplicates", "duplicate element: 'a'"),
+        ("partition_rejects_empty_block", "partition contains an empty block0"),
+        ("partition_rejects_overlap", "element in more than one block: 'b'0"),
+        ("space_requires_exact_cover", "partition does not cover: ['b']0"),
+        ("decision_table_feature_subsets_checked", "condition features not among attributes: ['zz']"),
+        ("from_rows_row_length_checked", "row for 'o1' has 1 values, expected 2"),
+        ("decision_table_requires_total_values", "row for 'o2' has 1 values, expected 2"))},
     # Rough-set operations.
     "test_roughset::TestLowerApproximation::test_rejects_stray_elements": (
         lambda: lower_approximation(SPACE, {"x1", "zz"}), ValidationError,
@@ -137,25 +139,23 @@ LIBRARY_FAULTS = {
         lambda: indiscernibility(DecisionTable.from_rows({"o1": ["1"]}, ("a",)), {"a", "bogus"}),
         ValidationError, "unknown attribute(s): ['bogus']"),
     # Node lists.
-    (f"{VALIDATE}test_two_cycle", f"{BY_HAND}two-cycle]"): (
+    f"{VALIDATE}test_two_cycle": (
         [("A", "B"), ("B", "A")], MapValidationError, "cycle among nodes: A -> B -> A"),
-    (f"{VALIDATE}test_multiple_roots", f"{BY_HAND}multiple-roots]"): (
+    f"{VALIDATE}test_multiple_roots": (
         [("S1", None), ("U1", None)], MapValidationError, "multiple root nodes: ['S1', 'U1']"),
-    (f"{VALIDATE}test_duplicate_id_named",
-     f"{BY_HAND}duplicate-id]",
-     "test_fileio::TestParseConceptMap::test_duplicate_id_named"): (
+    f"{VALIDATE}test_duplicate_id_named": (
         [("S1", None), ("U1", "S1"), ("U1", "S1")], MapValidationError, "duplicate node id: 'U1'"),
-    (f"{VALIDATE}test_dangling_parent", f"{BY_HAND}dangling-parent]"): (
+    f"{VALIDATE}test_dangling_parent": (
         [("S1", None), ("U1", "GHOST")], UnknownParentError,
         "node 'U1' references unknown parent 'GHOST'"),
-    (f"{VALIDATE}test_cycle_disjoint_from_root", f"{BY_HAND}cycle-disjoint-from-root]"): (
+    f"{VALIDATE}test_cycle_disjoint_from_root": (
         [("R", None), ("A", "B"), ("B", "A")], MapValidationError,
         "cycle among nodes: A -> B -> A"),
-    (f"{VALIDATE}test_empty_input", f"{BY_HAND}empty]"): (
+    f"{VALIDATE}test_empty_input": (
         [], MapValidationError, "map has no nodes"),
-    (f"{VALIDATE}test_non_string_id[None]", f"{BY_HAND}id-None]", f"{FIELDS}id-None]"): (
+    f"{VALIDATE}test_non_string_id[None]": (
         [("S1", None), (None, "S1")], MapValidationError, "nodes[1].id must be a string"),
-    (f"{VALIDATE}test_non_string_id[5]", f"{BY_HAND}id-5]", f"{FIELDS}id-5]"): (
+    f"{VALIDATE}test_non_string_id[5]": (
         [("S1", None), (5, "S1")], MapValidationError, "nodes[1].id must be a string"),
     f"{FIELDS}id-surrogate]": (
         [("S", None), ("A\ud800", "S")], MapValidationError, "nodes[1].id is not valid UTF-8 text"),
@@ -164,17 +164,29 @@ LIBRARY_FAULTS = {
         "nodes[1].parent must be a string or null"),
     f"{FIELDS}phrase-5]": (
         [("S", None), ("A", "S", 5)], MapValidationError, "nodes[1].phrase must be a string"),
-    # A node under a parent that only the teacher's map has is refused, as in a map file.
+    # Each map is checked when it is made, so a node whose parent only the other map has
+    # is refused before `integrate` runs, whichever side it was meant for.
     f"{INTEGRATE}test_orphan_student_node": (
         [("S1", None), ("W", "GHOST")], UnknownParentError,
         "node 'W' references unknown parent 'GHOST'"),
     f"{INTEGRATE}test_student_tree_only_with_teacher_map": (
-        [("S1", None), ("W", "U2")], UnknownParentError, "node 'W' references unknown parent 'U2'"),
-    (f"{INTEGRATE}test_map_without_root[teacher]", f"{INTEGRATE}test_map_without_root[student]"): (
+        lambda: integrate(validate_map([("S1", None), ("U2", "S1")]),
+                          validate_map([("S1", None), ("W", "U2")])),
+        UnknownParentError, "node 'W' references unknown parent 'U2'"),
+    f"{INTEGRATE}test_map_without_root[teacher]": (
         [("a", "b"), ("b", "a")], MapValidationError, "cycle among nodes: a -> b -> a"),
-    (f"{INTEGRATE}test_map_with_two_roots[teacher]",
-     f"{INTEGRATE}test_map_with_two_roots[student]"): (
+    f"{INTEGRATE}test_map_with_two_roots[teacher]": (
         [("a", None), ("c", None)], MapValidationError, "multiple root nodes: ['a', 'c']"),
+    # Node-list faults as they were first written: each another id of a row above.
+    **{f"{BY_HAND}{case}]": f"{VALIDATE}test_{name}" for case, name in (
+        ("two-cycle", "two_cycle"), ("multiple-roots", "multiple_roots"),
+        ("duplicate-id", "duplicate_id_named"), ("dangling-parent", "dangling_parent"),
+        ("cycle-disjoint-from-root", "cycle_disjoint_from_root"), ("empty", "empty_input"),
+        ("id-None", "non_string_id[None]"), ("id-5", "non_string_id[5]"))},
+    **{f"{FIELDS}id-{value}]": f"{VALIDATE}test_non_string_id[{value}]" for value in ("None", "5")},
+    "test_fileio::TestParseConceptMap::test_duplicate_id_named": f"{VALIDATE}test_duplicate_id_named",
+    **{f"{INTEGRATE}test_map_{fault}[student]": f"{INTEGRATE}test_map_{fault}[teacher]"
+       for fault in ("without_root", "with_two_roots")},
     f"{INTEGRATE}test_root_mismatch": (
         lambda: integrate(validate_map([("S1", None)]), validate_map([("S2", None)])),
         ValidationError, "root ids differ: teacher 'S1', student 'S2'"),
@@ -188,26 +200,18 @@ LIBRARY_FAULTS = {
     "test_fileio::TestParseConceptMap::test_malformed_json_reports_position": (
         lambda: parse_concept_map(b'{"subject": "x",\n "nodes": [}'), InputError,
         "<string>: invalid JSON at line 2, column 12: Expecting value"),
-    f"{SCHEMA}[]]": (lambda: parse_concept_map(b"[]"), InputError,
-                     "<string>: expected an object with a 'nodes' array"),
-    f'{SCHEMA}{{"subject":"x"}}]': (lambda: parse_concept_map(b'{"subject":"x"}'), InputError,
-                                    "<string>: expected an object with a 'nodes' array"),
-    f'{SCHEMA}{{"subject": 3, "nodes": []}}]': (
-        lambda: parse_concept_map(b'{"subject": 3, "nodes": []}'), InputError,
-        "<string>: 'subject' must be a string"),
-    f'{SCHEMA}{{"subject":"x","nodes":[{{"id":"S1"}}]}}]': (
-        lambda: parse_concept_map(b'{"subject":"x","nodes":[{"id":"S1"}]}'), InputError,
-        "<string>: nodes[0] must be an object with 'id' and 'parent'"),
-    f'{SCHEMA}{{"subject":"x","nodes":[{{"id":1,"parent":null}}]}}]': (
-        lambda: parse_concept_map(b'{"subject":"x","nodes":[{"id":1,"parent":null}]}'),
-        InputError, "<string>: nodes[0].id must be a string"),
-    f'{SCHEMA}{{"subject":"x","nodes":[{{"id":"S1","parent":2}}]}}]': (
-        lambda: parse_concept_map(b'{"subject":"x","nodes":[{"id":"S1","parent":2}]}'),
-        InputError, "<string>: nodes[0].parent must be a string or null"),
-    f'{SCHEMA}{{"subject":"x","nodes":[{{"id":"S1","parent":null,"phrase":7}}]}}]': (
-        lambda: parse_concept_map(
-            b'{"subject":"x","nodes":[{"id":"S1","parent":null,"phrase":7}]}'), InputError,
-        "<string>: nodes[0].phrase must be a string"),
+    **{f"{SCHEMA}{document}]": (lambda document=document: parse_concept_map(document.encode()),
+                                 InputError, f"<string>: {message}")
+       for document, message in (
+           ("[]", "expected an object with a 'nodes' array"),
+           ('{"subject":"x"}', "expected an object with a 'nodes' array"),
+           ('{"subject": 3, "nodes": []}', "'subject' must be a string"),
+           ('{"subject":"x","nodes":[{"id":"S1"}]}', "nodes[0] must be an object with 'id' and 'parent'"),
+           ('{"subject":"x","nodes":[{"id":1,"parent":null}]}', "nodes[0].id must be a string"),
+           ('{"subject":"x","nodes":[{"id":"S1","parent":2}]}',
+            "nodes[0].parent must be a string or null"),
+           ('{"subject":"x","nodes":[{"id":"S1","parent":null,"phrase":7}]}',
+            "nodes[0].phrase must be a string"))},
     "test_fileio::TestParseConceptMap::test_missing_file_raises_oserror": (
         lambda: parse_concept_map_file("absent.json"), OSError,
         "absent.json: missing or not a regular file"),
@@ -216,19 +220,19 @@ LIBRARY_FAULTS = {
         lambda: parse_roster(put("r.csv", "register_no,name,department,semester,subject\n")),
         InputError, "r.csv: missing column(s): map_path"),
     f"{ROSTER}test_duplicate_register_no": (
-        lambda: parse_roster(put("r.csv", f"{HEADER}R1,a,d,s,sub,m.json\nR1,b,d,s,sub,m.json\n")),
+        lambda: parse_roster(put("r.csv", f"{ROSTER_HEADER}R1,a,d,s,sub,m.json\nR1,b,d,s,sub,m.json\n")),
         InputError, "r.csv: duplicate register_no 'R1'"),
     f"{ROSTER}test_empty_register_no": (
-        lambda: parse_roster(put("r.csv", f"{HEADER},a,d,s,sub,m.json\n")), InputError,
+        lambda: parse_roster(put("r.csv", f"{ROSTER_HEADER},a,d,s,sub,m.json\n")), InputError,
         "r.csv: line 2: empty register_no"),
     f"{ROSTER}test_line_number_counts_every_line[blank-lines]": (
-        lambda: parse_roster(put("r.csv", f"{HEADER}R1,a,d,s,sub,m.json\n\n\n,a,d,s,sub,m.json\n")),
+        lambda: parse_roster(put("r.csv", f"{ROSTER_HEADER}R1,a,d,s,sub,m.json\n\n\n,a,d,s,sub,m.json\n")),
         InputError, "r.csv: line 5: empty register_no"),
     f"{ROSTER}test_line_number_counts_every_line[quoted-newline]": (
-        lambda: parse_roster(put("r.csv", f'{HEADER}R1,"a\nb",d,s,sub,m.json\n\nR2,a,d\n')),
+        lambda: parse_roster(put("r.csv", f'{ROSTER_HEADER}R1,"a\nb",d,s,sub,m.json\n\nR2,a,d\n')),
         InputError, "r.csv: line 5: missing cell(s): semester, subject, map_path"),
     f"{ROSTER}test_line_number_counts_every_line[crlf]": (
-        lambda: parse_roster(put("r.csv", f"{HEADER}\r\nR1,a,d,s,sub,m.json,x\r\n")), InputError,
+        lambda: parse_roster(put("r.csv", f"{ROSTER_HEADER}\r\nR1,a,d,s,sub,m.json,x\r\n")), InputError,
         "r.csv: line 3: 1 cell(s) past the header"),
     # Analysis.
     "test_analysis::TestLevelRegions::test_single_node_map_rejected": (
@@ -286,52 +290,26 @@ def ways(call, error, message):
              f"m.json: {message}")]
 
 
-def check_row(key, tmp_path, monkeypatch):
-    """Each way of the row `key`, run in `tmp_path`, raises exactly its class and message."""
+def check_row(key, tmp_path, monkeypatch, capsys):
+    """Each way of the row `key`, run in `tmp_path`, raises exactly its class and
+    message, and prints nothing.  A row that is a key is that key's row."""
     monkeypatch.chdir(tmp_path)
-    for call, error, message in ways(*LIBRARY_FAULTS[key]):
+    row = LIBRARY_FAULTS[key]
+    for call, error, message in ways(*LIBRARY_FAULTS[row] if isinstance(row, str) else row):
         with raises_exactly(error, message):
             call()
+    assert capsys.readouterr() == ("", "")
 
 
-def row_test(cases):
-    """The test of the (case id, key) pairs `cases`: one that runs the row of
-    each key by `check_row`, or, with no case id, the one row's test."""
-    if not cases[0][0]:
-        key = cases[0][1]
-        return lambda tmp_path, monkeypatch: check_row(key, tmp_path, monkeypatch)
-
-    @pytest.mark.parametrize("key", [pytest.param(key, id=case) for case, key in cases])
-    def test(key, tmp_path, monkeypatch):
-        check_row(key, tmp_path, monkeypatch)
-    return test
-
-
-def collect_rows(namespace):
-    """Collect each row of LIBRARY_FAULTS that names a test of the module of
-    `namespace` as that test, and in this module each other row."""
-    module, tests = namespace["__name__"].rpartition(".")[2], {}
-    for key in LIBRARY_FAULTS:
-        for test_id in key if isinstance(key, tuple) else (key,):
-            name, _, case = test_id.partition("[")
-            if "::" not in name:
-                name, case = "test_faults::test_library_faults", test_id + "]"
-            owner, _, test_name = name.partition("::")
-            if owner == module:
-                tests.setdefault(test_name, []).append((case[:-1], key))
-    for name, cases in tests.items():
-        owner, _, test_name = name.rpartition("::")
-        if owner:
-            setattr(namespace[owner], test_name, staticmethod(row_test(cases)))
-        else:
-            namespace[test_name] = row_test(cases)
+collect_rows = partial(conftest.collect_rows, table=LIBRARY_FAULTS, check=check_row,
+                       default="test_library_faults")
 
 
 def test_every_error_class_has_a_row():
     """Rows raise each class of `roughmap.errors` but the base, ValueError and OSError."""
     classes = {value for value in vars(errors).values()
                if isinstance(value, type) and issubclass(value, errors.RoughMapError)}
-    raised = {error for _, error, _ in LIBRARY_FAULTS.values()}
+    raised = {row[1] for row in LIBRARY_FAULTS.values() if not isinstance(row, str)}
     assert raised == classes - {errors.RoughMapError} | {ValueError, OSError}
 
 

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import DATA_DIR, REPO_ROOT, by_id, raises_exactly
+from conftest import DATA_DIR, REPO_ROOT, ROSTER_HEADER, by_id, raises_exactly
 from roughmap.conceptmap import integrate
 from roughmap.errors import InputError, RoughMapError
 from roughmap.fileio import (
@@ -79,7 +79,6 @@ class TestParseRoster:
                    for roster in rosters for r in roster)
 
 
-ROSTER_HEADER = "register_no,name,department,semester,subject,map_path\n"
 # CSV's own syntax, path separators and a NUL, beside any other character.
 CSV_TEXT = st.text(st.sampled_from(',"\r\n\x00/\\. R1') | st.characters(codec="utf-8"), max_size=80)
 # The name cell of line 3 is one character longer than csv allows.

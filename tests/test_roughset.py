@@ -177,8 +177,4 @@ class TestIndiscernibility:
                 assert together == same(x, y)
 
 
-class TestContainers:
-    """Construction checks of the containers: rows of test_faults.LIBRARY_FAULTS."""
-
-
 collect_rows(globals())
