@@ -85,6 +85,22 @@ def side(commit: str, tree: Path, seed: int, what: str) -> dict[str, dict[str, f
     return runs
 
 
+def file_system(path: str, mounts: Path = Path("/proc/self/mounts")) -> str:
+    """The type and mount options of the file system that holds `path`: those of the longest
+    mount point in `mounts` that `path` is under, the last such line winning; "unknown" where
+    `mounts` cannot be read.  The table writes a space in a mount point as \\040."""
+    try:
+        table = [line.split() for line in mounts.read_text(errors="replace").splitlines()]
+    except OSError:
+        return "unknown"
+    found, longest = "unknown", -1
+    for _, point, kind, options, *_ in table:
+        point = re.sub(r"\\([0-7]{3})", lambda escape: chr(int(escape[1], 8)), point)
+        if Path(path).is_relative_to(point) and len(point) >= longest:
+            found, longest = f"{kind} {options}", len(point)
+    return found
+
+
 def summary(commits: dict[str, str], seeds: list[int], orders: list[tuple[str, str]],
             runs: dict[str, list[dict]]) -> dict:
     """The campaign as one record; its "rows" compare the sides on each workload's corrected
@@ -101,7 +117,7 @@ def summary(commits: dict[str, str], seeds: list[int], orders: list[tuple[str, s
                          "new_won": sum(sign * (n - o) > 0 for o, n in zip(old, new)),
                          "worse": metric["bound"] is not None and loss > metric["bound"]})
     host = {"python": platform.python_version(), "platform": platform.platform(),
-            "cpus": os.cpu_count()}
+            "cpus": os.cpu_count(), "fs": file_system(os.path.realpath(tempfile.gettempdir()))}
     return {"commits": commits, "host": host, "seeds": seeds, "orders": [list(o) for o in orders],
             "runs": runs, "rows": rows}
 

@@ -16,22 +16,22 @@ parse error or memory exhausted, 130 interrupted (Ctrl-C), 143 terminated
 
 `_read` is the one way an input file is read, from one open of a regular file.
 `analyze` and `batch` run the same steps in the same order.  Both check the
-knobs before they read anything.  `_prepared` then makes ``--out-dir``, so
-that the output guard sees the names in it, and refuses (exit 2) an output
-that is an input (``<who> would overwrite input <path>``), a report named
-cohort_summary.csv (``<who> would overwrite cohort_summary.csv``) or, in
-``--out-dir``, a symlink, a file that is not a regular file (a FIFO's write
-would block) or a hard link, and last any output whose stat fails but not as
-"no such file" (a long name, a NUL, an ``--out-dir`` that is a file), ``<who>``
-being ``--out X``, ``<roster>: register_no 'R'`` or ``<roster>:
+knobs before they read anything.  `batch` then makes ``--out-dir``, so that
+the output guard sees the names in it, and `_prepared` refuses (exit 2) an
+output that is an input (``<who> would overwrite input <path>``), a report
+named cohort_summary.csv (``<who> would overwrite cohort_summary.csv``) or,
+in ``--out-dir``, a symlink, a file that is not a regular file (a FIFO's
+write would block) or a hard link, and last any output whose stat fails but
+not as "no such file" (a long name, a NUL, an ``--out-dir`` that is a file),
+``<who>`` being ``--out X``, ``<roster>: register_no 'R'`` or ``<roster>:
 cohort_summary.csv``; that last refusal, and a failed write, give ``<who>
-could not be written: <reason>``.  It then reads the teacher map; a refusal
-up to there removes the directories it made.  `_graded` then grades one
-student at a time, and each report is written before the next student is
-graded.  Each ``--out-dir`` output is opened in ``--out-dir``, opened once,
-checked again by the guard's rules and rewritten in place; a write cut short
-once the file is open (a full disk, an interrupt) removes the file if it is
-a regular file with one link.
+could not be written: <reason>``.  It then reads the teacher map.  `_graded`
+then grades one student at a time, and each report is written before the
+next student is graded; a `batch` that fails removes each directory it made
+that holds no output.  Each ``--out-dir`` output is opened in ``--out-dir``,
+opened once, checked again by the guard's rules and rewritten in place; a
+write cut short once the file is open (a full disk, an interrupt) removes
+the file if it is a regular file with one link.
 
 A run (`run_analyze`, `run_batch` or `run_validate`) pauses the cyclic
 garbage collector, in the main thread makes SIGTERM an interrupt, and
@@ -395,18 +395,11 @@ def _check_outputs(read: Sequence[Path], outputs: Sequence[tuple[str, Path]],
 
 def _prepared(teacher_map_path: str, read: Sequence[Path], outputs: Sequence[tuple[str, Path]],
               out_dir: Path | None) -> tuple[ConceptMap, int | None]:
-    """Make `out_dir`, guard `outputs` against every file read, parse the teacher map,
-    and open `out_dir`, following a symlink, for the caller to write in and close."""
-    made = [] if out_dir is None else _make_dir(out_dir)  # first, so the guard sees names in it
-    try:
-        _check_outputs((Path(teacher_map_path), *read), outputs, out_dir is not None)
-        teacher = parse_concept_map_file(teacher_map_path)
-        return teacher, None if out_dir is None else os.open(out_dir, _OPEN_DIR)
-    except BaseException:
-        for path in made:  # a run refused before any write leaves no directory it made
-            with suppress(OSError, ValueError):
-                path.rmdir()
-        raise
+    """Guard `outputs` against every file read, parse the teacher map, and open
+    `out_dir`, following a symlink, for the caller to write in and close."""
+    _check_outputs((Path(teacher_map_path), *read), outputs, out_dir is not None)
+    teacher = parse_concept_map_file(teacher_map_path)
+    return teacher, None if out_dir is None else os.open(out_dir, _OPEN_DIR)
 
 
 def _graded(teacher: ConceptMap, map_path: Path, fault: str, report_format: str, order: str,
@@ -450,25 +443,32 @@ def run_batch(teacher_map_path: str, roster_path: str, maps_dir: str | None = No
         outputs = [(f"{roster_path}: register_no {rec.register_no!r}",
                     out / f"{rec.register_no}.{report_format}") for rec in roster]
         maps = [Path(maps_dir or ".", rec.map_path) for rec in roster]
-        teacher, dir_fd = _prepared(teacher_map_path, [Path(roster_path), *maps],
-                                    [summary, *outputs], out)
-        rows = []
+        made, rows = _make_dir(out), []  # first, so the guard sees names in it
         try:
-            for rec, map_path, output in zip(roster, maps, outputs):
-                result, graded, report = _graded(teacher, map_path, f"student {rec.register_no}: ",
-                                                 report_format, order, levels)
-                _write(output, report, dir_fd)
-                rows.append((rec.register_no,
-                             format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
-                             ";".join(f"{g.node}={g.grade}" for g in graded)))
-            table = io.StringIO()
-            csv.writer(table, lineterminator="\n").writerows(
-                [("register_no", "expected_result", "grades"), *rows])
-            _write(summary, table.getvalue(), dir_fd)
-        except KeyboardInterrupt as exc:
-            raise type(exc)(f"interrupted after {len(rows)} of {len(roster)} students") from None
-        finally:
-            os.close(dir_fd)
+            teacher, dir_fd = _prepared(teacher_map_path, [Path(roster_path), *maps],
+                                        [summary, *outputs], out)
+            try:
+                for rec, map_path, output in zip(roster, maps, outputs):
+                    fault = f"student {rec.register_no}: "
+                    result, graded, report = _graded(teacher, map_path, fault, report_format,
+                                                     order, levels)
+                    _write(output, report, dir_fd)
+                    rows.append((rec.register_no,
+                                 format_fraction(result.expected_result, EXPECTED_RESULT_PLACES),
+                                 ";".join(f"{g.node}={g.grade}" for g in graded)))
+                table = io.StringIO()
+                csv.writer(table, lineterminator="\n").writerows(
+                    [("register_no", "expected_result", "grades"), *rows])
+                _write(summary, table.getvalue(), dir_fd)
+            except KeyboardInterrupt as exc:
+                raise type(exc)(f"interrupted after {len(rows)} of {len(roster)} students") from None
+            finally:
+                os.close(dir_fd)
+        except BaseException:  # an interrupt too
+            for path in made:  # deepest first; rmdir keeps a directory that holds an output
+                with suppress(OSError, ValueError):
+                    path.rmdir()
+            raise
 
     return _exit_status(run)
 

@@ -76,11 +76,23 @@ def test_json_line(ab):
     orders = [("new", "old"), ("old", "new")]
     line = json.loads(json.dumps(ab.summary(COMMITS, [1, 2], orders, runs)))
     assert set(line) == {"commits", "host", "seeds", "orders", "runs", "rows"}
-    assert set(line["host"]) == {"python", "platform", "cpus"}
+    assert set(line["host"]) == {"python", "platform", "cpus", "fs"}
     assert (line["commits"], line["seeds"], line["runs"]) == (COMMITS, [1, 2], runs)
     assert line["orders"] == [["new", "old"], ["old", "new"]]
     assert set(line["rows"][0]) == {"workload", "metric", "old", "new", "ratio", "new_won",
                                     "worse"}
+
+
+def test_file_system(ab, tmp_path):
+    """The longest mount point that a path is under, by whole names, gives the type and
+    options; a space in a mount point is written \\040; an unread table gives "unknown"."""
+    mounts = tmp_path / "mounts"
+    mounts.write_text("/dev/vda / ext4 rw,relatime 0 0\ntmpfs /tmp tmpfs rw,nosuid 0 0\n"
+                      "tmpfs /tmp/a\\040b tmpfs ro 0 0\n")
+    assert ab.file_system("/tmp/a b/c", mounts) == "tmpfs ro"
+    assert ab.file_system("/tmp/a", mounts) == "tmpfs rw,nosuid"
+    assert ab.file_system("/tmpx", mounts) == "ext4 rw,relatime"
+    assert ab.file_system("/", tmp_path / "absent") == "unknown"
 
 
 def test_one_random_seed_per_pair(ab):
